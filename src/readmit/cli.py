@@ -141,7 +141,7 @@ def _resolve_model_config(args, file_cfg, dataset_d):
 
 def _resolve_train_config(args, file_cfg):
     loss = LossConfig(
-        alpha=_cfg_get(file_cfg, args, "loss", "alpha", cast=float) or 0.25,
+        alpha=_first_not_none(_cfg_get(file_cfg, args, "loss", "alpha", cast=float), 0.25),
         gamma=_first_not_none(_cfg_get(file_cfg, args, "loss", "gamma", cast=float), 2.0),
         smooth=_first_not_none(_cfg_get(file_cfg, args, "loss", "smooth", cast=float), 0.1),
         reduction="mean",

@@ -12,6 +12,7 @@ to sum 1.
 """
 
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,8 +245,9 @@ def _parallel_trees(X, y, n_trees, seed, jobs):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_fit_tree, X, y, seed, i) for i in range(n_trees)]
             return [f.result() for f in futures]
-    except (OSError, PermissionError):
-        # sandboxed environments without process support fall back cleanly
+    except OSError as exc:
+        warnings.warn(f"process pool failed ({exc!r}); fitting {n_trees} trees sequentially",
+                      RuntimeWarning, stacklevel=3)
         return [_fit_tree(X, y, seed, i) for i in range(n_trees)]
 
 

@@ -93,61 +93,65 @@ def positional_encoding(length, d_model):
     return pe
 
 
-def _glorot(rng, fan_in, fan_out, shape=None):
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape if shape is not None else (fan_in, fan_out))
+def param_spec(cfg):
+    """Parameter names in creation order, each mapped to its shape."""
+    d = cfg.d_model
+    spec = {}
+    for mod in cfg.modalities:
+        spec[f"{mod}.embed.w"] = (cfg.input_dim(mod), d)
+        spec[f"{mod}.embed.b"] = (d,)
+        for l in range(cfg.layers(mod)):
+            p = f"{mod}.l{l}"
+            if cfg.encoder == "transformer":
+                for gate in ("q", "k", "v", "o"):
+                    spec[f"{p}.attn.w{gate}"] = (d, d)
+                    spec[f"{p}.attn.b{gate}"] = (d,)
+                spec[f"{p}.ln1.g"] = (d,)
+                spec[f"{p}.ln1.b"] = (d,)
+                spec[f"{p}.ffn.w1"] = (d, cfg.d_ff)
+                spec[f"{p}.ffn.b1"] = (cfg.d_ff,)
+                spec[f"{p}.ffn.w2"] = (cfg.d_ff, d)
+                spec[f"{p}.ffn.b2"] = (d,)
+                spec[f"{p}.ln2.g"] = (d,)
+                spec[f"{p}.ln2.b"] = (d,)
+            else:
+                gates = ("r", "z", "n") if cfg.encoder == "gru" else ("i", "f", "g", "o")
+                for gate in gates:
+                    spec[f"{p}.w{gate}"] = (d, d)
+                    spec[f"{p}.u{gate}"] = (d, d)
+                    spec[f"{p}.b{gate}"] = (d,)
+        if cfg.encoder == "transformer":
+            spec[f"{mod}.norm.g"] = (d,)
+            spec[f"{mod}.norm.b"] = (d,)
+        spec[f"{mod}.pool.q"] = (d, 1)
+    spec["fusion.w1"] = (len(cfg.modalities) * d, d)
+    spec["fusion.b1"] = (d,)
+    spec["fusion.w2"] = (d, 1)
+    spec["fusion.b2"] = (1,)
+    return spec
 
 
-def _param(params, name, arr, dtype):
-    params[name] = Tensor(np.asarray(arr, dtype=dtype))
-    params[name].requires_grad = True
+def _initial_value(rng, name, shape):
+    """Pooling queries ~ N(0, 1/d), other matrices Glorot-normal; layer-norm
+    gains and the LSTM forget bias start at one, every other vector at zero."""
+    if name.endswith(".pool.q"):
+        return rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
+    if len(shape) == 2:
+        fan_in, fan_out = shape
+        return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), size=shape)
+    if name.endswith((".g", ".bf")):
+        return np.ones(shape)
+    return np.zeros(shape)
 
 
 def build_parameters(cfg):
     """Initialize the full learnable parameter dict for a config."""
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.np_dtype()
-    d = cfg.d_model
-    params = {}
-    for mod in cfg.modalities:
-        in_dim = cfg.input_dim(mod)
-        _param(params, f"{mod}.embed.w", _glorot(rng, in_dim, d), dt)
-        _param(params, f"{mod}.embed.b", np.zeros(d), dt)
-        for l in range(cfg.layers(mod)):
-            p = f"{mod}.l{l}"
-            if cfg.encoder == "transformer":
-                for gate in ("q", "k", "v", "o"):
-                    _param(params, f"{p}.attn.w{gate}", _glorot(rng, d, d), dt)
-                    _param(params, f"{p}.attn.b{gate}", np.zeros(d), dt)
-                _param(params, f"{p}.ln1.g", np.ones(d), dt)
-                _param(params, f"{p}.ln1.b", np.zeros(d), dt)
-                _param(params, f"{p}.ffn.w1", _glorot(rng, d, cfg.d_ff), dt)
-                _param(params, f"{p}.ffn.b1", np.zeros(cfg.d_ff), dt)
-                _param(params, f"{p}.ffn.w2", _glorot(rng, cfg.d_ff, d), dt)
-                _param(params, f"{p}.ffn.b2", np.zeros(d), dt)
-                _param(params, f"{p}.ln2.g", np.ones(d), dt)
-                _param(params, f"{p}.ln2.b", np.zeros(d), dt)
-            elif cfg.encoder == "gru":
-                for gate in ("r", "z", "n"):
-                    _param(params, f"{p}.w{gate}", _glorot(rng, d, d), dt)
-                    _param(params, f"{p}.u{gate}", _glorot(rng, d, d), dt)
-                    _param(params, f"{p}.b{gate}", np.zeros(d), dt)
-            else:  # lstm
-                for gate in ("i", "f", "g", "o"):
-                    _param(params, f"{p}.w{gate}", _glorot(rng, d, d), dt)
-                    _param(params, f"{p}.u{gate}", _glorot(rng, d, d), dt)
-                    bias = np.ones(d) if gate == "f" else np.zeros(d)
-                    _param(params, f"{p}.b{gate}", bias, dt)
-        if cfg.encoder == "transformer":
-            _param(params, f"{mod}.norm.g", np.ones(d), dt)
-            _param(params, f"{mod}.norm.b", np.zeros(d), dt)
-        _param(params, f"{mod}.pool.q", rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, 1)), dt)
-    n_active = len(cfg.modalities)
-    _param(params, "fusion.w1", _glorot(rng, n_active * d, d), dt)
-    _param(params, "fusion.b1", np.zeros(d), dt)
-    _param(params, "fusion.w2", _glorot(rng, d, 1), dt)
-    _param(params, "fusion.b2", np.zeros(1), dt)
-    return params
+    return {
+        name: Tensor(np.asarray(_initial_value(rng, name, shape), dtype=dt), requires_grad=True)
+        for name, shape in param_spec(cfg).items()
+    }
 
 
 @dataclass
@@ -341,6 +345,11 @@ class ReadmissionModel:
         for p in self.params.values():
             p.grad = None
 
+    def frozen(self):
+        """This model on ``requires_grad=False`` views of the same parameter
+        arrays (no copy): a forward pass through it builds no graph."""
+        return ReadmissionModel(self.config, {n: Tensor(p.data) for n, p in self.params.items()})
+
     def forward_batch(self, batch, training=False, rng=None):
         """Logits for a collated batch; returns a (B,) Tensor."""
         pooled = []
@@ -357,7 +366,7 @@ class ReadmissionModel:
     def forward(self, bundle):
         """Eval-mode logit for a single FeatureBundle."""
         batch = collate([bundle], self.config.modalities, dtype=self.config.np_dtype())
-        return float(self.forward_batch(batch).data[0])
+        return float(self.frozen().forward_batch(batch).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +424,20 @@ def load_model(path):
         raise DataError(f"{path}: unsupported model version {obj.get('version')}")
     try:
         config = ModelConfig.from_json(obj["config"])
-        params = {}
-        for name, payload in obj["params"].items():
-            params[name] = Tensor(_decode_array(payload))
-            params[name].requires_grad = True
-    except (KeyError, ValueError, TypeError) as exc:
+        params = {name: Tensor(_decode_array(payload), requires_grad=True)
+                  for name, payload in obj["params"].items()}
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: corrupt model payload: {exc}") from exc
-    model = ReadmissionModel(config, params=params)
-    expected = set(build_parameters(config).keys())
-    if set(params.keys()) != expected:
+    spec = param_spec(config)
+    if set(params) != set(spec):
         raise DataError(f"{path}: parameter names do not match the config")
+    for name, shape in spec.items():
+        if params[name].shape != shape:
+            raise DataError(
+                f"{path}: parameter {name} has shape {params[name].shape}, "
+                f"the config needs {shape}"
+            )
+    model = ReadmissionModel(config, params=params)
     selection = FeatureSelection.from_json(obj["selection"]) if obj.get("selection") else None
     tfidf = TfidfModel.from_json(obj["tfidf"]) if obj.get("tfidf") else None
     return model, selection, tfidf, obj.get("fingerprint")

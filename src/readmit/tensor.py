@@ -1,14 +1,21 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A small numpy-backed engine: every operation builds a node that remembers
-its parents and a backward closure.  Calling ``Tensor.backward()`` on a
-scalar output walks the graph in reverse topological order and accumulates
-gradients into every tensor created with ``requires_grad=True``.
+A small numpy-backed engine: every operation on an operand that requires
+grad builds a node that remembers its parents and a backward closure.
+Calling ``Tensor.backward()`` on a scalar output walks the graph in reverse
+topological order and accumulates gradients into every tensor created with
+``requires_grad=True``.
 
 Conventions:
   * arrays are float64 by default (float32 is kept if passed in);
-  * graphs are built per forward pass and discarded after backward;
-  * repeated ``backward()`` calls accumulate into leaf ``grad`` buffers
+  * graphs are acyclic: a backward closure receives the upstream gradient
+    as its argument and never refers to its own output, so a graph is freed
+    by reference counting as soon as its root is dropped;
+  * inference builds no graph: an op whose operands all have
+    ``requires_grad=False`` records neither parents nor a closure;
+  * ``backward()`` releases every non-leaf ``grad`` once that node's
+    closure has run, so calling it twice on one graph adds exactly twice
+    the gradient into leaf ``grad`` buffers, which keep accumulating
     until ``zero_grad()`` is called;
   * broadcasting is deliberately restricted: learnable operands broadcast
     only as 1-D bias vectors over rows; arbitrary broadcasting is allowed
@@ -74,8 +81,9 @@ class Tensor:
     def backward(self):
         """Reverse-mode gradient accumulation from a scalar output.
 
-        Gradients add into existing ``grad`` buffers, so repeated calls
-        without ``zero_grad()`` accumulate.
+        Leaf gradients add into existing ``grad`` buffers, so repeated calls
+        without ``zero_grad()`` accumulate.  Each non-leaf node's ``grad`` is
+        released once its backward has run.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -85,7 +93,8 @@ class Tensor:
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={_fmt(self.shape)}, requires_grad={self.requires_grad})"
@@ -125,9 +134,15 @@ def _toposort(root):
     return order
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, alias=False):
+    """Add ``g`` into ``t.grad``.
+
+    A first write keeps ``g`` itself when the op has just allocated it;
+    ``alias=True`` marks an upstream gradient or a view of one, which is
+    copied so that no two tensors share a gradient buffer.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = (np.array if alias else np.asarray)(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -168,8 +183,7 @@ def matmul(a, b):
     else:
         out_data = a.data @ b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if batched_times_shared:
             B, m, k = a.data.shape
             n = b.data.shape[1]
@@ -184,8 +198,7 @@ def matmul(a, b):
         if b.requires_grad:
             _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    out = _result(out_data, (a, b), backward)
-    return out
+    return _result(out_data, (a, b), backward)
 
 
 def add(a, b):
@@ -197,30 +210,29 @@ def add(a, b):
     else:
         raise ShapeError(f"add shapes incompatible: {_fmt(a.shape)} + {_fmt(b.shape)}")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, g)
+            _accumulate(a, g, alias=True)
         if b.requires_grad:
-            _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0) if bias else g)
+            if bias:
+                _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
+            else:
+                _accumulate(b, g, alias=True)
 
-    out = _result(a.data + b.data, (a, b), backward)
-    return out
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"sub shapes differ: {_fmt(a.shape)} - {_fmt(b.shape)}")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, g)
+            _accumulate(a, g, alias=True)
         if b.requires_grad:
             _accumulate(b, -g)
 
-    out = _result(a.data - b.data, (a, b), backward)
-    return out
+    return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b):
@@ -228,26 +240,23 @@ def mul(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {_fmt(a.shape)} * {_fmt(b.shape)}")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, g * b.data)
         if b.requires_grad:
             _accumulate(b, g * a.data)
 
-    out = _result(a.data * b.data, (a, b), backward)
-    return out
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def scale(a, s):
     s = float(s)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad * s)
+            _accumulate(a, g * s)
 
-    out = _result(a.data * s, (a,), backward)
-    return out
+    return _result(a.data * s, (a,), backward)
 
 
 def add_const(a, c):
@@ -258,12 +267,11 @@ def add_const(a, c):
             f"constant of shape {_fmt(c.shape)} does not broadcast onto {_fmt(a.shape)}"
         )
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad)
+            _accumulate(a, g, alias=True)
 
-    out = _result(a.data + c, (a,), backward)
-    return out
+    return _result(a.data + c, (a,), backward)
 
 
 def mul_const(a, c):
@@ -274,12 +282,11 @@ def mul_const(a, c):
             f"constant of shape {_fmt(c.shape)} does not broadcast onto {_fmt(a.shape)}"
         )
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad * c)
+            _accumulate(a, g * c)
 
-    out = _result(a.data * c, (a,), backward)
-    return out
+    return _result(a.data * c, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -293,41 +300,37 @@ def neg(a):
 def texp(a):
     out_data = np.exp(a.data)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad * out_data)
+            _accumulate(a, g * out_data)
 
-    out = _result(out_data, (a,), backward)
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def tlog(a):
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad / a.data)
+            _accumulate(a, g / a.data)
 
-    out = _result(np.log(a.data), (a,), backward)
-    return out
+    return _result(np.log(a.data), (a,), backward)
 
 
 def tanh(a):
     out_data = np.tanh(a.data)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad * (1.0 - out_data * out_data))
+            _accumulate(a, g * (1.0 - out_data * out_data))
 
-    out = _result(out_data, (a,), backward)
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def relu(a):
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad * (a.data > 0))
+            _accumulate(a, g * (a.data > 0))
 
-    out = _result(np.maximum(a.data, 0.0), (a,), backward)
-    return out
+    return _result(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def _sigmoid_np(x):
@@ -343,12 +346,11 @@ def sigmoid(a):
     """Elementwise logistic function, stable for large |input|."""
     out_data = _sigmoid_np(a.data)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad * out_data * (1.0 - out_data))
+            _accumulate(a, g * out_data * (1.0 - out_data))
 
-    out = _result(out_data, (a,), backward)
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def gelu(a):
@@ -357,13 +359,12 @@ def gelu(a):
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out_data = x * cdf
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            _accumulate(a, out.grad * (cdf + x * pdf))
+            _accumulate(a, g * (cdf + x * pdf))
 
-    out = _result(out_data, (a,), backward)
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def pow_const(a, p):
@@ -372,19 +373,18 @@ def pow_const(a, p):
     if p == 0.0:
         out_data = np.ones_like(a.data)
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
                 _accumulate(a, np.zeros_like(a.data))
 
     else:
         out_data = np.power(a.data, p)
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                _accumulate(a, out.grad * p * np.power(a.data, p - 1.0))
+                _accumulate(a, g * p * np.power(a.data, p - 1.0))
 
-    out = _result(out_data, (a,), backward)
-    return out
+    return _result(out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -392,56 +392,51 @@ def pow_const(a, p):
 
 
 def sum_all(a):
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, float(out.grad)))
+            _accumulate(a, np.full_like(a.data, float(g)))
 
-    out = _result(np.asarray(a.data.sum()), (a,), backward)
-    return out
+    return _result(np.asarray(a.data.sum()), (a,), backward)
 
 
 def mean_all(a):
     n = a.data.size
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, float(out.grad) / n))
+            _accumulate(a, np.full_like(a.data, float(g) / n))
 
-    out = _result(np.asarray(a.data.mean()), (a,), backward)
-    return out
+    return _result(np.asarray(a.data.mean()), (a,), backward)
 
 
 def reshape(a, shape):
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, out.grad.reshape(a.shape))
+            _accumulate(a, g.reshape(a.shape), alias=True)
 
-    out = _result(a.data.reshape(shape), (a,), backward)
-    return out
+    return _result(a.data.reshape(shape), (a,), backward)
 
 
 def transpose_last2(a):
     if a.data.ndim < 2:
         raise ShapeError(f"transpose_last2 needs ndim >= 2, got {_fmt(a.shape)}")
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            _accumulate(a, np.swapaxes(out.grad, -1, -2))
+            _accumulate(a, np.swapaxes(g, -1, -2), alias=True)
 
-    out = _result(np.swapaxes(a.data, -1, -2), (a,), backward)
-    return out
+    return _result(np.swapaxes(a.data, -1, -2), (a,), backward)
 
 
 def slice_last(a, lo, hi):
     """Slice along the last axis; gradient scatters back with zero padding."""
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[..., lo:hi] = out.grad
-            _accumulate(a, g)
+            full = np.zeros_like(a.data)
+            full[..., lo:hi] = g
+            _accumulate(a, full)
 
-    out = _result(a.data[..., lo:hi], (a,), backward)
-    return out
+    return _result(a.data[..., lo:hi], (a,), backward)
 
 
 def slice_steps(a, lo, hi):
@@ -449,14 +444,13 @@ def slice_steps(a, lo, hi):
     if a.data.ndim < 2:
         raise ShapeError(f"slice_steps needs ndim >= 2, got {_fmt(a.shape)}")
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[..., lo:hi, :] = out.grad
-            _accumulate(a, g)
+            full = np.zeros_like(a.data)
+            full[..., lo:hi, :] = g
+            _accumulate(a, full)
 
-    out = _result(a.data[..., lo:hi, :], (a,), backward)
-    return out
+    return _result(a.data[..., lo:hi, :], (a,), backward)
 
 
 def concat(tensors, axis=-1):
@@ -467,17 +461,15 @@ def concat(tensors, axis=-1):
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 if axis == -1:
-                    _accumulate(t, g[..., lo:hi])
+                    _accumulate(t, g[..., lo:hi], alias=True)
                 else:
-                    _accumulate(t, g[..., lo:hi, :])
+                    _accumulate(t, g[..., lo:hi, :], alias=True)
 
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-    return out
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def softmax(a, axis=-1):
@@ -488,14 +480,12 @@ def softmax(a, axis=-1):
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         if a.requires_grad:
             _accumulate(a, (g - dot) * out_data)
 
-    out = _result(out_data, (a,), backward)
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -516,8 +506,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data + bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -528,8 +517,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * (gy - m1 - xhat * m2))
 
-    out = _result(out_data, (x, gain, bias), backward)
-    return out
+    return _result(out_data, (x, gain, bias), backward)
 
 
 def bce_with_logits(logits, targets):
@@ -546,12 +534,11 @@ def bce_with_logits(logits, targets):
     z = logits.data
     out_data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
-    def backward():
+    def backward(g):
         if logits.requires_grad:
-            _accumulate(logits, out.grad * (_sigmoid_np(z) - t))
+            _accumulate(logits, g * (_sigmoid_np(z) - t))
 
-    out = _result(out_data, (logits,), backward)
-    return out
+    return _result(out_data, (logits,), backward)
 
 
 def dropout(a, p, rng):

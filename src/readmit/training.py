@@ -8,6 +8,7 @@ range over the current batch and is applied to training batches only.
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,6 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc
 from .features import FeatureBundle, prepare_bundles
 from .model import ReadmissionModel, collate
-from .tensor import Tensor
 
 
 @dataclass
@@ -261,13 +261,14 @@ def _noisy_batch(bundles, modalities, ratio, rng):
 
 
 def predict_logits(model, bundles, batch_size=256):
-    """Eval-mode logits for a list of bundles (no dropout, no noise)."""
+    """Eval-mode logits for a list of bundles (no dropout, no noise, no graph)."""
     dt = model.config.np_dtype()
+    frozen = model.frozen()
     out = np.empty(len(bundles))
     for lo in range(0, len(bundles), batch_size):
         chunk = bundles[lo:lo + batch_size]
         batch = collate(chunk, model.config.modalities, dtype=dt)
-        out[lo:lo + len(chunk)] = model.forward_batch(batch).data
+        out[lo:lo + len(chunk)] = frozen.forward_batch(batch).data
     return out
 
 
@@ -465,5 +466,7 @@ def _parallel_folds(jobs_args, jobs):
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_train_fold, jobs_args))
-    except (OSError, PermissionError):
+    except OSError as exc:
+        warnings.warn(f"process pool failed ({exc!r}); training {len(jobs_args)} folds "
+                      "sequentially", RuntimeWarning, stacklevel=3)
         return [_train_fold(a) for a in jobs_args]

@@ -142,6 +142,13 @@ def test_train_requires_selection_or_no_select(workspace, tmp_path):
     assert "no-select" in r.stderr
 
 
+def test_train_alpha_zero_rejected(tmp_path, workspace):
+    r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "a0",
+                "--selection", workspace["sel"], "--epochs", 1, "--alpha", 0)
+    assert r.returncode == 2
+    assert "alpha must be positive" in r.stderr
+
+
 def test_train_single_modality(tmp_path, workspace):
     out = tmp_path / "ehr_only"
     r = run_cli("train", "--data", workspace["data"], "--out", out, "--no-select",

@@ -163,6 +163,21 @@ def test_forest_parallel_jobs_deterministic():
     np.testing.assert_array_equal(seq.predict_proba(X), par.predict_proba(X))
 
 
+def _failing_pool(*args, **kwargs):
+    raise OSError("process support unavailable")
+
+
+def test_forest_pool_failure_warns_and_fits_sequentially(monkeypatch):
+    import concurrent.futures
+
+    X, y = separable_data(n=60, seed=1)
+    seq = train_random_forest(X, y, n_trees=4, seed=2, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _failing_pool)
+    with pytest.warns(RuntimeWarning, match="OSError.*4 trees sequentially"):
+        par = train_random_forest(X, y, n_trees=4, seed=2, jobs=2)
+    np.testing.assert_array_equal(feature_importances(seq), feature_importances(par))
+
+
 def test_forest_oob_on_separable_data():
     X, y = separable_data(n=300, seed=1)
     forest = train_random_forest(X, y, n_trees=50, seed=2)

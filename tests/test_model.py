@@ -1,5 +1,6 @@
 """Architecture: positional encoding, encoders, pooling, fusion, baselines."""
 
+import json
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from readmit.errors import ConfigError, DataError
 from readmit.features import fit_tfidf, prepare_bundles
 from readmit.model import (Batch, ModelConfig, ReadmissionModel, attention_pool,
                            build_parameters, collate, encode_modality,
-                           fuse_and_predict, load_model, positional_encoding,
-                           save_model, _gru_layer, _lstm_layer)
+                           fuse_and_predict, load_model, param_spec,
+                           positional_encoding, save_model, _gru_layer, _lstm_layer)
 from readmit.tensor import Tensor, grad_check
 from readmit.training import LossConfig, focal_loss
 
@@ -403,6 +404,32 @@ def test_load_truncated_file_is_clean_error(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(DataError, match="model"):
+        load_model(path)
+
+
+def test_param_spec_matches_build_parameters():
+    for encoder in ("transformer", "gru", "lstm"):
+        cfg = tiny_config(encoder=encoder, modalities=("ehr", "cxr", "notes"))
+        params = build_parameters(cfg)
+        assert [(n, p.shape) for n, p in params.items()] == list(param_spec(cfg).items())
+
+
+def test_load_rejects_wrong_parameter_shape(tmp_path):
+    model = ReadmissionModel(tiny_config())
+    model.params["fusion.w1"] = Tensor(np.zeros((5, 4)))     # the config needs 4x4
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    with pytest.raises(DataError, match="fusion.w1 has shape"):
+        load_model(path)
+
+
+def test_load_rejects_params_that_are_not_a_mapping(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, ReadmissionModel(tiny_config()))
+    obj = json.loads(path.read_text())
+    obj["params"] = []
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match="corrupt model payload"):
         load_model(path)
 
 

@@ -204,6 +204,67 @@ def test_backward_accumulates_without_reset():
     np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
+def test_backward_twice_on_one_graph_adds_exactly_twice():
+    x = leaf([1.0, 2.0])
+    loss = T.sum_all(T.mul(x, x))
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
+def test_backward_releases_non_leaf_grads():
+    x = leaf([1.0, 2.0])
+    y = T.mul(x, x)
+    loss = T.sum_all(y)
+    loss.backward()
+    assert y.grad is None and loss.grad is None
+    assert y._parents == (x, x)          # the graph itself stays walkable
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_no_graph_without_grad_operands():
+    out = T.sum_all(T.mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])))
+    assert out._parents == () and out._backward is None and not out.requires_grad
+
+
+def test_add_same_operand_twice():
+    x = leaf([1.0, -2.0])
+    T.sum_all(T.add(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_concat_same_operand_twice():
+    x = leaf([[1.0, -2.0]])
+    T.sum_all(T.mul_const(T.concat([x, x]), np.array([1.0, 2.0, 3.0, 4.0]))).backward()
+    np.testing.assert_array_equal(x.grad, [[4.0, 6.0]])
+
+
+PASS_THROUGH = {
+    "add": lambda x, w: T.add(x, w),
+    "add_b_side": lambda x, w: T.add(w, x),
+    "sub": lambda x, w: T.add(T.sub(x, Tensor(np.zeros(2))), w),
+    "add_const": lambda x, w: T.add(T.add_const(x, 1.0), w),
+    "reshape": lambda x, w: T.add(T.reshape(T.reshape(x, (1, 2)), (2,)), w),
+    "transpose": lambda x, w: T.add(T.reshape(T.transpose_last2(T.reshape(x, (2, 1))), (2,)), w),
+    "concat": lambda x, w: T.add(T.reshape(T.concat([T.reshape(x, (1, 2))], axis=-2), (2,)), w),
+}
+
+
+@pytest.mark.parametrize("square_first", [True, False])
+@pytest.mark.parametrize("op", sorted(PASS_THROUGH))
+def test_parent_shared_by_two_ops_keeps_its_own_grad(op, square_first):
+    """x feeds a pass-through op and a square; neither gradient may leak into w's."""
+    x = leaf([1.0, 2.0])
+    w = leaf([5.0, 7.0])
+    passed = T.sum_all(PASS_THROUGH[op](x, w))
+    squared = T.sum_all(T.mul(x, x))
+    loss = T.add(squared, passed) if square_first else T.add(passed, squared)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 5.0])
+    np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+    assert not np.shares_memory(x.grad, w.grad)
+
+
 def test_backward_composite_attention_layer():
     """Scalar loss through a hand-built single-head attention block."""
     rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 """Loss, schedules, optimizer, training loop, K-fold ensembling."""
 
+import gc
 import math
 
 import numpy as np
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 from readmit.errors import ConfigError, DataError, NumericError
 from readmit.features import FeatureBundle
-from readmit.model import ModelConfig, ReadmissionModel
+from readmit.model import ModelConfig, ReadmissionModel, collate
 from readmit.tensor import Tensor, grad_check
 from readmit.training import (AdamW, Ensemble, LossConfig, NoiseSchedule,
                               TrainConfig, clip_gradients, cosine_lr,
                               ensemble_predict, focal_loss, inject_noise,
                               kfold_train, label_smooth, noise_ratio_linear,
                               noise_ratio_sinusoidal, patient_folds,
-                              predict_proba, train, write_history_csv)
+                              predict_logits, predict_proba, train,
+                              write_history_csv)
 
 
 def logits_of(values):
@@ -264,6 +266,46 @@ def quick_train_cfg(**kwargs):
     return TrainConfig(**defaults)
 
 
+def test_training_step_leaves_no_cyclic_garbage():
+    """A dropped graph is freed by reference counting, without the cyclic GC."""
+    bundles, labels, _ = tiny_setup(n=8)
+    cfg = ModelConfig(d_model=12, n_heads=3, ehr_layers=1, d_ff=16, k_ehr=8,
+                      modalities=("ehr",))
+    model = ReadmissionModel(cfg)
+    opt = AdamW(model.params)
+    rng = np.random.default_rng(0)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = model.forward_batch(collate(bundles, cfg.modalities), training=True, rng=rng)
+        loss = focal_loss(logits, labels, LossConfig())
+        model.zero_grad()
+        loss.backward()
+        clip_gradients(model.params, 1.0)
+        opt.step()
+        del logits, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_predict_logits_builds_no_graph(monkeypatch):
+    bundles, _, cfg = tiny_setup(n=6)
+    model = ReadmissionModel(cfg)
+    expected = model.forward_batch(collate(bundles, cfg.modalities)).data
+    outputs = []
+    forward_batch = ReadmissionModel.forward_batch
+
+    def recording_forward(self, batch, training=False, rng=None):
+        outputs.append(forward_batch(self, batch, training, rng))
+        return outputs[-1]
+
+    monkeypatch.setattr(ReadmissionModel, "forward_batch", recording_forward)
+    assert predict_logits(model, bundles).tobytes() == expected.tobytes()
+    assert [out._parents for out in outputs] == [()]
+    assert all(p.requires_grad for p in model.params.values())
+
+
 def test_memorization_capacity():
     """16 records memorized to loss < 0.05 within 200 epochs."""
     bundles, labels, cfg = tiny_setup()
@@ -402,6 +444,20 @@ def test_kfold_trains_k_members():
     assert len(ensemble.fold_val_aucs) == 3
     seeds = [m.config.seed for m in ensemble.members]
     assert seeds == [0, 1, 2]
+
+
+def test_kfold_pool_failure_warns_and_trains_sequentially(monkeypatch):
+    import concurrent.futures
+
+    from readmit import training
+
+    def failing_pool(*args, **kwargs):
+        raise OSError("process support unavailable")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", failing_pool)
+    monkeypatch.setattr(training, "_train_fold", lambda args: args * 10)
+    with pytest.warns(RuntimeWarning, match="OSError.*3 folds sequentially"):
+        assert training._parallel_folds([1, 2, 3], jobs=2) == [10, 20, 30]
 
 
 class _StubModel:
