@@ -1,8 +1,10 @@
 """Command-line interface: synth, select-features, train, kfold, eval.
 
 Configuration can come from an INI-style file ([section] key = value) with
-CLI flags taking precedence.  Every artifact embeds a fingerprint of the
-resolved configuration so eval can detect mismatched models and datasets.
+CLI flags taking precedence; ``SETTINGS`` lists both, and a key set by
+neither keeps the default of its config dataclass field.  Every artifact
+embeds a fingerprint of the resolved configuration so eval can detect
+mismatched models and datasets.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O.
 """
 
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,27 +23,72 @@ import numpy as np
 from .data import (SynthConfig, generate_synthetic, load_dataset, save_dataset,
                    split_by_patient)
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import evaluate, save_report
+from .evaluation import auc, evaluate, save_report
 from .features import (FeatureSelection, feature_importances, fit_tfidf,
                        patient_mean_features, prepare_bundles, select_top_k,
                        train_random_forest)
-from .model import ModelConfig, ReadmissionModel, load_model, save_model
-from .training import (Ensemble, LossConfig, NoiseSchedule, TrainConfig,
-                       kfold_train, predict_proba, train, write_history_csv)
+from .model import (DTYPES, ENCODERS, MODALITY_ORDER, ModelConfig,
+                    ReadmissionModel, load_model, save_model)
+from .training import (NOISE_KINDS, Ensemble, LossConfig, NoiseSchedule,
+                       TrainConfig, kfold_train, predict_proba, train,
+                       write_history_csv)
 
 SPLIT_DEFAULT = (0.7, 0.15, 0.15)
 
-_CONFIG_SECTIONS = {
-    "model": {"d_model", "n_heads", "ehr_layers", "cxr_layers", "notes_layers",
-              "d_ff", "dropout", "k_ehr", "modalities", "encoder", "dtype",
-              "max_days", "max_images", "max_notes"},
-    "train": {"epochs", "lr_max", "lr_min", "batch_size", "grad_clip",
-              "weight_decay", "seed"},
-    "loss": {"alpha", "gamma", "smooth", "reduction"},
-    "noise": {"kind", "r_initial", "r_final", "warmup", "amplitude",
-              "period", "intercept"},
-    "data": {"split_fractions", "split_seed"},
-}
+# (INI section, key, train/kfold flag or None for a file-only key).  A flag
+# stores its value under the key's name; PT_SEED stands in for an unset seed.
+SETTINGS = (
+    ("model", "d_model", "--d-model"),
+    ("model", "n_heads", "--heads"),
+    ("model", "ehr_layers", "--ehr-layers"),
+    ("model", "cxr_layers", "--cxr-layers"),
+    ("model", "notes_layers", "--notes-layers"),
+    ("model", "d_ff", "--d-ff"),
+    ("model", "dropout", "--dropout"),
+    ("model", "k_ehr", None),
+    ("model", "modalities", "--modalities"),
+    ("model", "encoder", "--encoder"),
+    ("model", "dtype", "--dtype"),
+    ("model", "max_days", None),
+    ("model", "max_images", None),
+    ("model", "max_notes", None),
+    ("train", "epochs", "--epochs"),
+    ("train", "lr_max", "--lr-max"),
+    ("train", "lr_min", "--lr-min"),
+    ("train", "batch_size", "--batch-size"),
+    ("train", "grad_clip", "--grad-clip"),
+    ("train", "weight_decay", "--weight-decay"),
+    ("train", "seed", "--seed"),
+    ("loss", "alpha", "--alpha"),
+    ("loss", "gamma", "--gamma"),
+    ("loss", "smooth", "--smooth"),
+    ("noise", "kind", "--noise"),
+    ("noise", "r_initial", "--noise-initial"),
+    ("noise", "r_final", "--noise-final"),
+    ("noise", "warmup", "--noise-warmup"),
+    ("noise", "amplitude", "--noise-amplitude"),
+    ("noise", "period", "--noise-period"),
+    ("noise", "intercept", "--noise-intercept"),
+    ("data", "split_fractions", "--split-fractions"),
+    ("data", "split_seed", "--split-seed"),
+)
+
+
+def _parse_modalities(text):
+    mods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not mods:
+        raise ValueError("at least one modality is required")
+    return mods
+
+
+# Text-to-value conversion per key: the type of the dataclass field of that
+# name, except for the comma lists and the [data] keys.
+_CASTS = {f.name: f.type for cls in (ModelConfig, TrainConfig, LossConfig, NoiseSchedule)
+          for f in fields(cls)}
+_CASTS.update(modalities=_parse_modalities, split_seed=int,
+              split_fractions=lambda text: tuple(float(p) for p in text.split(",") if p))
+_CHOICES = {"encoder": ENCODERS, "dtype": DTYPES, "kind": NOISE_KINDS}
+_HELP = {"modalities": "comma list from " + ",".join(MODALITY_ORDER)}
 
 
 def fingerprint(obj):
@@ -49,7 +97,8 @@ def fingerprint(obj):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _default_seed(value):
+def _default_seed(value, default=0):
+    """``value``, else the integer in PT_SEED, else ``default``."""
     if value is not None:
         return value
     env = os.environ.get("PT_SEED")
@@ -58,129 +107,67 @@ def _default_seed(value):
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"PT_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _parse_fractions(text):
-    parts = [p for p in text.split(",") if p]
-    try:
-        fracs = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad split fractions {text!r}") from exc
-    return fracs
-
-
-def _parse_modalities(text):
-    mods = tuple(m.strip() for m in text.split(",") if m.strip())
-    if not mods:
-        raise ConfigError("at least one modality is required")
-    return mods
+    return default
 
 
 def load_config_file(path):
-    """Read an INI config file, rejecting unknown sections and keys."""
+    """Read an INI config file into {(section, key): text}, rejecting unknown
+    sections and keys."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    known = {(section, key) for section, key, _ in SETTINGS}
     out = {}
     for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"{path}: unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _CONFIG_SECTIONS[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            out[f"{section}.{key}"] = parser[section][key]
+            out[(section, key)] = parser[section][key]
     return out
 
 
-def _cfg_get(file_cfg, args, section, key, flag=None, cast=str):
-    """Resolution order: CLI flag, config file, None."""
-    flag_val = getattr(args, flag if flag else key, None)
-    if flag_val is not None:
-        return flag_val
-    raw = file_cfg.get(f"{section}.{key}")
-    if raw is None:
-        return None
-    try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {section}.{key} = {raw!r}: {exc}") from exc
+def resolve_settings(args, file_cfg):
+    """{section: {key: value}} from the flags, else the config file, else
+    PT_SEED for the seed.  Keys that none of them sets are left out, so the
+    dataclass defaults apply."""
+    out = {section: {} for section, _, _ in SETTINGS}
+    for section, key, flag in SETTINGS:
+        value = getattr(args, key, None) if flag else None
+        if value is None:
+            value = file_cfg.get((section, key))
+        if key == "seed":
+            value = _default_seed(value, default=None)
+        if isinstance(value, str):
+            try:
+                value = _CASTS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from exc
+        if value is not None:
+            out[section][key] = value
+    return out
+
+
+def _split_spec(settings):
+    """Split fractions and seed from resolved settings."""
+    data = settings["data"]
+    return data.get("split_fractions", SPLIT_DEFAULT), _default_seed(data.get("split_seed"))
+
+
+def _run_configs(settings):
+    """ModelConfig and TrainConfig from resolved settings; the model is
+    seeded with the training seed."""
+    train_cfg = TrainConfig(loss=LossConfig(**settings["loss"]),
+                            noise=NoiseSchedule(**settings["noise"]), **settings["train"])
+    return ModelConfig(seed=train_cfg.seed, **settings["model"]), train_cfg
 
 
 def _require_file(path, kind):
     if not Path(path).is_file():
         raise DataError(f"{kind} file does not exist: {path}")
     return Path(path)
-
-
-def _resolve_model_config(args, file_cfg, dataset_d):
-    modalities = _cfg_get(file_cfg, args, "model", "modalities", cast=str)
-    if modalities is None:
-        modalities = "ehr,notes"
-    if isinstance(modalities, str):
-        modalities = _parse_modalities(modalities)
-    kwargs = {}
-    for key, cast in (("d_model", int), ("n_heads", int), ("ehr_layers", int),
-                      ("cxr_layers", int), ("notes_layers", int), ("d_ff", int),
-                      ("dropout", float), ("k_ehr", int), ("encoder", str),
-                      ("dtype", str), ("max_days", int), ("max_images", int),
-                      ("max_notes", int)):
-        val = _cfg_get(file_cfg, args, "model", key, cast=cast)
-        if val is not None:
-            kwargs[key] = val
-    kwargs["modalities"] = modalities
-    kwargs.setdefault("k_ehr", 100)
-    if dataset_d is not None and "ehr" in modalities:
-        kwargs["k_ehr"] = min(kwargs["k_ehr"], dataset_d)
-    kwargs["seed"] = _default_seed(_cfg_get(file_cfg, args, "train", "seed", flag="seed", cast=int))
-    return ModelConfig(**kwargs)
-
-
-def _resolve_train_config(args, file_cfg):
-    loss = LossConfig(
-        alpha=_first_not_none(_cfg_get(file_cfg, args, "loss", "alpha", cast=float), 0.25),
-        gamma=_first_not_none(_cfg_get(file_cfg, args, "loss", "gamma", cast=float), 2.0),
-        smooth=_first_not_none(_cfg_get(file_cfg, args, "loss", "smooth", cast=float), 0.1),
-        reduction="mean",
-    )
-    kind = _cfg_get(file_cfg, args, "noise", "kind", flag="noise", cast=str) or "linear"
-    noise = NoiseSchedule(
-        kind=kind,
-        r_initial=_first_not_none(_cfg_get(file_cfg, args, "noise", "r_initial", flag="noise_initial", cast=float), 0.01),
-        r_final=_first_not_none(_cfg_get(file_cfg, args, "noise", "r_final", flag="noise_final", cast=float), 0.1),
-        warmup=_cfg_get(file_cfg, args, "noise", "warmup", flag="noise_warmup", cast=int),
-        amplitude=_first_not_none(_cfg_get(file_cfg, args, "noise", "amplitude", flag="noise_amplitude", cast=float), 0.05),
-        period=_first_not_none(_cfg_get(file_cfg, args, "noise", "period", flag="noise_period", cast=float), 40.0),
-        intercept=_first_not_none(_cfg_get(file_cfg, args, "noise", "intercept", flag="noise_intercept", cast=float), 0.0),
-    )
-    return TrainConfig(
-        epochs=_first_not_none(_cfg_get(file_cfg, args, "train", "epochs", cast=int), 100),
-        lr_max=_first_not_none(_cfg_get(file_cfg, args, "train", "lr_max", cast=float), 1e-3),
-        lr_min=_first_not_none(_cfg_get(file_cfg, args, "train", "lr_min", cast=float), 5e-4),
-        batch_size=_first_not_none(_cfg_get(file_cfg, args, "train", "batch_size", cast=int), 32),
-        loss=loss,
-        noise=noise,
-        grad_clip=_first_not_none(_cfg_get(file_cfg, args, "train", "grad_clip", cast=float), 1.0),
-        weight_decay=_first_not_none(_cfg_get(file_cfg, args, "train", "weight_decay", cast=float), 0.01),
-        seed=_default_seed(_cfg_get(file_cfg, args, "train", "seed", flag="seed", cast=int)),
-    )
-
-
-def _first_not_none(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
-def _resolve_split(args, file_cfg):
-    fracs = _cfg_get(file_cfg, args, "data", "split_fractions", flag="split_fractions", cast=str)
-    fracs = _parse_fractions(fracs) if isinstance(fracs, str) else (fracs or SPLIT_DEFAULT)
-    seed = _cfg_get(file_cfg, args, "data", "split_seed", flag="split_seed", cast=int)
-    return fracs, _default_seed(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +204,7 @@ def cmd_select_features(args):
     ds = load_dataset(data_path)
     if not ds.records:
         raise DataError(f"{data_path}: dataset is empty")
-    fracs, split_seed = _resolve_split(args, {})
+    fracs, split_seed = _split_spec(resolve_settings(args, {}))
     train_ds, _, _ = split_by_patient(ds, fracs, seed=split_seed)
     d = ds.d
     top_k = args.top_k if args.top_k is not None else min(100, d)
@@ -236,7 +223,7 @@ def cmd_select_features(args):
     return 0
 
 
-def _fit_pipeline(train_ds, model_cfg, selection):
+def _fit_pipeline(train_ds, model_cfg):
     """Fit the TF-IDF model on training notes (selection comes precomputed)."""
     tfidf = None
     if "notes" in model_cfg.modalities:
@@ -269,26 +256,21 @@ def cmd_train(args):
         with open(sel_path, "r", encoding="utf-8") as fh:
             selection = FeatureSelection.from_json(json.load(fh))
 
-    model_cfg = _resolve_model_config(args, file_cfg, ds.d)
-    if selection is not None and "ehr" in model_cfg.modalities:
-        model_cfg.k_ehr = selection.k
-    elif "ehr" in model_cfg.modalities:
-        model_cfg.k_ehr = ds.d
-    train_cfg = _resolve_train_config(args, file_cfg)
-    fracs, split_seed = _resolve_split(args, file_cfg)
+    settings = resolve_settings(args, file_cfg)
+    model_cfg, train_cfg = _run_configs(settings)
+    if "ehr" in model_cfg.modalities:
+        model_cfg.k_ehr = selection.k if selection is not None else ds.d
+    fracs, split_seed = _split_spec(settings)
 
     train_ds, val_ds, test_ds = split_by_patient(ds, fracs, seed=split_seed)
-    tfidf = _fit_pipeline(train_ds, model_cfg, selection)
+    tfidf = _fit_pipeline(train_ds, model_cfg)
     caps = _caps(model_cfg)
     tb, tl = prepare_bundles(train_ds.records, model_cfg.modalities, selection, tfidf, **caps)
     vb, vl = prepare_bundles(val_ds.records, model_cfg.modalities, selection, tfidf, **caps)
 
     fp = fingerprint({
         "model": model_cfg.to_json(),
-        "train": {"epochs": train_cfg.epochs, "lr_max": train_cfg.lr_max,
-                  "lr_min": train_cfg.lr_min, "batch_size": train_cfg.batch_size,
-                  "seed": train_cfg.seed, "grad_clip": train_cfg.grad_clip,
-                  "weight_decay": train_cfg.weight_decay},
+        "train": {k: v for k, v in vars(train_cfg).items() if k not in ("loss", "noise")},
         "loss": vars(train_cfg.loss),
         "noise": vars(train_cfg.noise),
         "split": {"fractions": list(fracs), "seed": split_seed},
@@ -338,11 +320,7 @@ def cmd_kfold(args):
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
 
-    model_cfg = _resolve_model_config(args, file_cfg, ds.d)
-    if "ehr" in model_cfg.modalities:
-        model_cfg.k_ehr = min(model_cfg.k_ehr, ds.d)
-    train_cfg = _resolve_train_config(args, file_cfg)
-    train_cfg.kfold = args.k
+    model_cfg, train_cfg = _run_configs(resolve_settings(args, file_cfg))
 
     selection = None
     if args.selection:
@@ -353,10 +331,9 @@ def cmd_kfold(args):
         X, y = patient_mean_features(ds)
         forest = train_random_forest(X, y, n_trees=args.trees, seed=train_cfg.seed,
                                      jobs=args.jobs)
-        selection = select_top_k(feature_importances(forest),
-                                 min(model_cfg.k_ehr, ds.d))
+        selection = select_top_k(feature_importances(forest), min(model_cfg.k_ehr, ds.d))
         model_cfg.k_ehr = selection.k
-    tfidf = _fit_pipeline(ds, model_cfg, selection)
+    tfidf = _fit_pipeline(ds, model_cfg)
 
     fp = fingerprint({"model": model_cfg.to_json(), "k": args.k, "seed": train_cfg.seed})
     started = time.perf_counter()
@@ -382,9 +359,7 @@ def cmd_kfold(args):
         holdout = load_dataset(_require_file(args.holdout, "holdout dataset"))
         hb, hl = prepare_bundles(holdout.records, model_cfg.modalities,
                                  selection, tfidf, **_caps(model_cfg))
-        from .evaluation import auc as _auc
-
-        report["ensemble_holdout_auc"] = _auc(ensemble.predict_bundles(hb), hl)
+        report["ensemble_holdout_auc"] = auc(ensemble.predict_bundles(hb), hl)
     with open(out_dir / "ensemble.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
     print(f"k={args.k} mean fold val AUC {report['mean_fold_val_auc']:.4f} "
@@ -437,7 +412,7 @@ def cmd_eval(args):
     if not ds.records:
         raise DataError(f"{args.data}: dataset is empty")
     if args.split:
-        fracs, split_seed = _resolve_split(args, {})
+        fracs, split_seed = _split_spec(resolve_settings(args, {}))
         parts = dict(zip(("train", "val", "test"),
                          split_by_patient(ds, fracs, seed=split_seed)))
         ds = parts[args.split]
@@ -491,8 +466,7 @@ def build_parser():
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--split-fractions", default=None, dest="split_fractions")
-    p.add_argument("--split-seed", type=int, default=None, dest="split_seed")
+    _add_setting_flags(p, sections=("data",))
     p.set_defaults(func=cmd_select_features)
 
     p = sub.add_parser("train", help="train a model on a train/val split")
@@ -516,46 +490,27 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--split", choices=("train", "val", "test"), default=None,
                    help="evaluate on one split of the dataset instead of all of it")
-    p.add_argument("--split-fractions", default=None, dest="split_fractions")
-    p.add_argument("--split-seed", type=int, default=None, dest="split_seed")
+    _add_setting_flags(p, sections=("data",))
     p.set_defaults(func=cmd_eval)
     return parser
 
 
 def _add_train_flags(p):
+    """Flags shared by train and kfold."""
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="INI config file")
-    p.add_argument("--modalities", default=None, help="comma list from ehr,cxr,notes")
-    p.add_argument("--encoder", choices=("transformer", "gru", "lstm"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--lr-max", type=float, default=None, dest="lr_max")
-    p.add_argument("--lr-min", type=float, default=None, dest="lr_min")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--smooth", type=float, default=None)
-    p.add_argument("--noise", choices=("linear", "sinusoidal", "none"), default=None)
-    p.add_argument("--noise-initial", type=float, default=None, dest="noise_initial")
-    p.add_argument("--noise-final", type=float, default=None, dest="noise_final")
-    p.add_argument("--noise-warmup", type=int, default=None, dest="noise_warmup")
-    p.add_argument("--noise-amplitude", type=float, default=None, dest="noise_amplitude")
-    p.add_argument("--noise-period", type=float, default=None, dest="noise_period")
-    p.add_argument("--noise-intercept", type=float, default=None, dest="noise_intercept")
-    p.add_argument("--grad-clip", type=float, default=None, dest="grad_clip")
-    p.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    p.add_argument("--d-model", type=int, default=None, dest="d_model")
-    p.add_argument("--heads", type=int, default=None, dest="n_heads")
-    p.add_argument("--ehr-layers", type=int, default=None, dest="ehr_layers")
-    p.add_argument("--cxr-layers", type=int, default=None, dest="cxr_layers")
-    p.add_argument("--notes-layers", type=int, default=None, dest="notes_layers")
-    p.add_argument("--d-ff", type=int, default=None, dest="d_ff")
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--dtype", choices=("float64", "float32"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-fractions", default=None, dest="split_fractions")
-    p.add_argument("--split-seed", type=int, default=None, dest="split_seed")
+    _add_setting_flags(p)
     p.add_argument("--jobs", type=int, default=1)
+
+
+def _add_setting_flags(p, sections=None):
+    """One flag per SETTINGS row that has one, of ``sections`` if given."""
+    for section, key, flag in SETTINGS:
+        if flag and (sections is None or section in sections):
+            cast = _CASTS[key]
+            p.add_argument(flag, dest=key, type=cast if cast in (int, float) else None,
+                           choices=_CHOICES.get(key), help=_HELP.get(key, f"[{section}] {key}"))
 
 
 def main(argv=None):

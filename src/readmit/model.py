@@ -19,6 +19,8 @@ from .errors import ConfigError, DataError
 from .tensor import Tensor
 
 MODALITY_ORDER = ("ehr", "cxr", "notes")
+ENCODERS = ("transformer", "gru", "lstm")
+DTYPES = ("float64", "float32")
 INPUT_DIMS = {"cxr": 1024, "notes": 1024}
 
 MODEL_FORMAT = "readmit.model"
@@ -36,27 +38,33 @@ class ModelConfig:
     dropout: float = 0.1
     k_ehr: int = 100
     modalities: tuple = ("ehr", "notes")
-    encoder: str = "transformer"        # transformer | gru | lstm
+    encoder: str = "transformer"        # one of ENCODERS
     max_days: int = 64
     max_images: int = 16
     max_notes: int = 32
     seed: int = 0
-    dtype: str = "float64"
+    dtype: str = "float64"              # one of DTYPES
 
     def __post_init__(self):
-        self.modalities = tuple(m for m in MODALITY_ORDER if m in self.modalities)
-        if not self.modalities:
-            raise ConfigError("at least one modality must be active")
         unknown = set(self.modalities) - set(MODALITY_ORDER)
         if unknown:
             raise ConfigError(f"unknown modalities: {sorted(unknown)}")
+        self.modalities = tuple(m for m in MODALITY_ORDER if m in self.modalities)
+        if not self.modalities:
+            raise ConfigError("at least one modality must be active")
+        for name, low in (("d_model", 1), ("n_heads", 1), ("ehr_layers", 0),
+                          ("cxr_layers", 0), ("notes_layers", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
-        if self.encoder not in ("transformer", "gru", "lstm"):
+        if self.encoder not in ENCODERS:
             raise ConfigError(f"unknown encoder kind: {self.encoder!r}")
-        if self.dtype not in ("float64", "float32"):
+        if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
 
     def input_dim(self, modality):

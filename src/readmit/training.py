@@ -9,7 +9,7 @@ range over the current batch and is applied to training batches only.
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,9 +76,12 @@ def focal_loss(logits, targets, cfg):
 # schedules
 
 
+NOISE_KINDS = ("linear", "sinusoidal", "none")
+
+
 @dataclass
 class NoiseSchedule:
-    kind: str = "linear"            # linear | sinusoidal | none
+    kind: str = "linear"            # one of NOISE_KINDS
     r_initial: float = 0.01
     r_final: float = 0.1
     warmup: int = None              # None -> total epochs
@@ -87,7 +90,7 @@ class NoiseSchedule:
     intercept: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "sinusoidal", "none"):
+        if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise schedule kind {self.kind!r}")
         if self.kind == "linear" and (self.r_initial < 0 or self.r_final < 0):
             raise ConfigError("noise ratios must be >= 0")
@@ -217,7 +220,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     weight_decay: float = 0.01
     seed: int = 0
-    kfold: int = None               # set when training as part of a K-fold run
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -226,8 +228,6 @@ class TrainConfig:
             raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.kfold is not None and self.kfold < 2:
-            raise ConfigError(f"kfold must be >= 2, got {self.kfold}")
 
 
 @dataclass
@@ -372,19 +372,11 @@ class Ensemble:
     selection: object = None
     tfidf: object = None
 
-    def predict_bundle(self, bundle):
-        probs = [T._sigmoid_np(np.array([m.forward(bundle)]))[0] for m in self.members]
-        return float(np.mean(probs))
-
     def predict_bundles(self, bundles):
+        """Arithmetic mean of member probabilities, one per bundle."""
+        if not self.members:
+            raise ConfigError("ensemble has no members")
         return np.mean([predict_proba(m, bundles) for m in self.members], axis=0)
-
-
-def ensemble_predict(ensemble, bundle):
-    """Arithmetic mean of member probabilities for one admission."""
-    if not ensemble.members:
-        raise ConfigError("ensemble has no members")
-    return ensemble.predict_bundle(bundle)
 
 
 def patient_folds(records, k, seed=0):
@@ -401,24 +393,15 @@ def patient_folds(records, k, seed=0):
 
 
 def _train_fold(args):
-    (records, fold_ids, fold, model_cfg_json, train_cfg, selection, tfidf) = args
-    from .model import ModelConfig
-
-    cfg = ModelConfig.from_json(model_cfg_json)
-    cfg.seed = cfg.seed + fold
+    (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf) = args
+    cfg = replace(model_cfg, seed=model_cfg.seed + fold)
     train_recs = [r for r, f in zip(records, fold_ids) if f != fold]
     val_recs = [r for r, f in zip(records, fold_ids) if f == fold]
     caps = dict(max_days=cfg.max_days, max_images=cfg.max_images, max_notes=cfg.max_notes)
     tb, tl = prepare_bundles(train_recs, cfg.modalities, selection, tfidf, **caps)
     vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **caps)
-    fold_train_cfg = TrainConfig(
-        epochs=train_cfg.epochs, lr_max=train_cfg.lr_max, lr_min=train_cfg.lr_min,
-        batch_size=train_cfg.batch_size, loss=train_cfg.loss, noise=train_cfg.noise,
-        grad_clip=train_cfg.grad_clip, weight_decay=train_cfg.weight_decay,
-        seed=train_cfg.seed + fold,
-    )
-    model = ReadmissionModel(cfg)
-    result = train(model, tb, tl, vb, vl, fold_train_cfg)
+    result = train(ReadmissionModel(cfg), tb, tl, vb, vl,
+                   replace(train_cfg, seed=train_cfg.seed + fold))
     return result.model.get_state(), result.best_val_auc, result.history
 
 
@@ -432,7 +415,7 @@ def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
     """
     fold_ids = patient_folds(records, k, seed=fold_seed)
     jobs_args = [
-        (records, fold_ids, fold, model_cfg.to_json(), train_cfg, selection, tfidf)
+        (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf)
         for fold in range(k)
     ]
     if jobs > 1:
@@ -440,24 +423,13 @@ def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
     else:
         results = [_train_fold(a) for a in jobs_args]
 
-    members = []
-    val_aucs = []
-    for fold, (state, val_auc, _history) in enumerate(results):
-        cfg = ModelConfigCopy(model_cfg, seed=model_cfg.seed + fold)
-        m = ReadmissionModel(cfg)
-        m.set_state(state)
-        members.append(m)
-        val_aucs.append(val_auc)
-    return Ensemble(members=members, fold_val_aucs=val_aucs,
+    members = [
+        ReadmissionModel(replace(model_cfg, seed=model_cfg.seed + fold),
+                         params={n: T.Tensor(a, requires_grad=True) for n, a in state.items()})
+        for fold, (state, _, _) in enumerate(results)
+    ]
+    return Ensemble(members=members, fold_val_aucs=[a for _, a, _ in results],
                     selection=selection, tfidf=tfidf)
-
-
-def ModelConfigCopy(cfg, **overrides):
-    from .model import ModelConfig
-
-    obj = cfg.to_json()
-    obj.update(overrides)
-    return ModelConfig.from_json(obj)
 
 
 def _parallel_folds(jobs_args, jobs):

@@ -2,11 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from readmit import cli
+from readmit.model import ModelConfig
+from readmit.training import TrainConfig
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -184,6 +189,34 @@ def test_config_file_unknown_key_rejected(tmp_path, workspace):
     assert "epohcs" in r.stderr
 
 
+def test_train_unknown_modality_rejected(tmp_path, workspace):
+    r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "o",
+                "--no-select", "--epochs", 1, "--modalities", "ehr,nots")
+    assert r.returncode == 2
+    assert "nots" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--heads", 0, "n_heads"), ("--d-model", 0, "d_model"), ("--dropout", 1.5, "dropout"),
+])
+def test_train_bad_shape_flag_rejected(tmp_path, workspace, flag, value, field):
+    r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "o",
+                "--no-select", "--epochs", 1, flag, value)
+    assert r.returncode == 2
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_config_file_loss_reduction_rejected(tmp_path, workspace):
+    cfg = tmp_path / "red.ini"
+    cfg.write_text("[loss]\nreduction = none\n")
+    r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "o",
+                "--no-select", "--config", cfg, "--epochs", 1)
+    assert r.returncode == 2
+    assert "reduction" in r.stderr
+
+
 def test_pt_seed_env_fallback(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     r = run_cli("synth", "--out", a, "--patients", 10, "--seed", 77)
@@ -191,6 +224,87 @@ def test_pt_seed_env_fallback(tmp_path):
     r = run_cli("synth", "--out", b, "--patients", 10, env={"PT_SEED": "77"})
     assert r.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# configuration table
+
+# A file value and a flag value (None: no flag) for every SETTINGS key, each
+# valid with every other setting at its default and none of them a default.
+SETTING_VALUES = {
+    "d_model": (48, 24), "n_heads": (4, 2), "ehr_layers": (1, 3),
+    "cxr_layers": (1, 3), "notes_layers": (1, 2), "d_ff": (64, 32),
+    "dropout": (0.2, 0.3), "k_ehr": (20, None),
+    "modalities": (("ehr", "cxr"), ("notes",)), "encoder": ("gru", "lstm"),
+    "dtype": ("float32", "float64"), "max_days": (10, None),
+    "max_images": (4, None), "max_notes": (5, None),
+    "epochs": (3, 7), "lr_max": (0.01, 0.02), "lr_min": (0.0001, 0.0002),
+    "batch_size": (8, 16), "grad_clip": (2.0, 3.0), "weight_decay": (0.1, 0.2),
+    "seed": (3, 4),
+    "alpha": (0.5, 0.75), "gamma": (1.0, 3.0), "smooth": (0.2, 0.05),
+    "kind": ("sinusoidal", "none"), "r_initial": (0.02, 0.03), "r_final": (0.2, 0.3),
+    "warmup": (5, 6), "amplitude": (0.1, 0.2), "period": (20.0, 30.0),
+    "intercept": (0.01, 0.02),
+    "split_fractions": ((0.5, 0.25, 0.25), (0.6, 0.2, 0.2)), "split_seed": (3, 4),
+}
+
+
+def _text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _resolved(argv, file_cfg):
+    """Every resolved value of a train run, keyed by (section, key)."""
+    args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o", *argv])
+    settings = cli.resolve_settings(args, file_cfg)
+    model_cfg, train_cfg = cli._run_configs(settings)
+    fractions, split_seed = cli._split_spec(settings)
+    objs = {"model": model_cfg, "train": train_cfg, "loss": train_cfg.loss,
+            "noise": train_cfg.noise}
+    out = {(s, k): getattr(obj, k) for s, obj in objs.items() for k in vars(obj)}
+    out["data", "split_fractions"] = fractions
+    out["data", "split_seed"] = split_seed
+    return out
+
+
+def test_setting_values_cover_the_table():
+    assert sorted(k for _, k, _ in cli.SETTINGS) == sorted(SETTING_VALUES)
+
+
+@pytest.mark.parametrize("section,key,flag", cli.SETTINGS,
+                         ids=[f"{s}.{k}" for s, k, _ in cli.SETTINGS])
+def test_setting_reaches_its_field_and_its_flag_wins(monkeypatch, section, key, flag):
+    monkeypatch.delenv("PT_SEED", raising=False)
+    file_value, flag_value = SETTING_VALUES[key]
+    file_cfg = {(section, key): _text(file_value)}
+    assert _resolved([], file_cfg)[section, key] == file_value
+    if flag is not None:
+        assert _resolved([flag, _text(flag_value)], file_cfg)[section, key] == flag_value
+    if key == "seed":
+        assert _resolved([], file_cfg)["model", "seed"] == file_value
+
+
+def test_unset_settings_take_dataclass_defaults(monkeypatch):
+    monkeypatch.delenv("PT_SEED", raising=False)
+    args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+    assert cli._run_configs(cli.resolve_settings(args, {})) == (ModelConfig(), TrainConfig())
+
+
+def test_pt_seed_fills_only_an_unset_seed(monkeypatch):
+    monkeypatch.setenv("PT_SEED", "9")
+    assert _resolved([], {})["train", "seed"] == 9
+    assert _resolved([], {})["data", "split_seed"] == 9
+    assert _resolved([], {("train", "seed"): "3"})["train", "seed"] == 3
+    assert _resolved(["--seed", "4"], {("train", "seed"): "3"})["model", "seed"] == 4
+
+
+def test_config_file_bad_value_names_the_key(tmp_path, workspace):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[noise]\nwarmup = soon\n")
+    r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "o",
+                "--no-select", "--config", cfg)
+    assert r.returncode == 2
+    assert "noise.warmup" in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +418,6 @@ def test_numeric_error_exit_code(monkeypatch, tmp_path):
     import contextlib
     import io
 
-    from readmit import cli
     from readmit.errors import NumericError
 
     def boom(cfg):
@@ -327,6 +440,29 @@ def test_help_exits_zero(sub):
     r = run_cli(sub, "--help")
     assert r.returncode == 0
     assert "--" in r.stdout
+
+
+TRAIN_OPTIONS = [
+    "--alpha", "--batch-size", "--config", "--cxr-layers", "--d-ff", "--d-model",
+    "--data", "--dropout", "--dtype", "--ehr-layers", "--encoder", "--epochs",
+    "--gamma", "--grad-clip", "--heads", "--help", "--jobs", "--lr-max", "--lr-min",
+    "--modalities", "--noise", "--noise-amplitude", "--noise-final",
+    "--noise-initial", "--noise-intercept", "--noise-period", "--noise-warmup",
+    "--notes-layers", "--out", "--seed", "--selection", "--smooth",
+    "--split-fractions", "--split-seed", "--weight-decay", "-h",
+]
+KFOLD_ONLY = ["--holdout", "--k", "--trees"]
+
+
+@pytest.mark.parametrize("sub,expected", [
+    ("train", sorted(TRAIN_OPTIONS + ["--no-select"])),
+    ("kfold", sorted(TRAIN_OPTIONS + KFOLD_ONLY)),
+])
+def test_train_and_kfold_offer_exactly_the_pinned_options(sub, expected):
+    r = run_cli(sub, "--help")
+    assert r.returncode == 0
+    offered = sorted(set(re.findall(r"(?:^|[\s\[])(--?[a-z][a-z-]*)", r.stdout)))
+    assert offered == expected
 
 
 def test_top_level_help():

@@ -476,3 +476,25 @@ def test_vector_notes_forward():
     cfg = tiny_config(modalities=("ehr", "notes"))
     model = ReadmissionModel(cfg)
     assert np.isfinite(model.forward(bundles[0]))
+
+
+# ---------------------------------------------------------------------------
+# config validation
+
+
+def test_unknown_modality_rejected():
+    with pytest.raises(ConfigError, match="nots"):
+        ModelConfig(modalities=("ehr", "nots"))
+
+
+def test_modalities_put_in_fixed_order():
+    assert ModelConfig(modalities=("notes", "ehr")).modalities == ("ehr", "notes")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d_model", 0), ("n_heads", 0), ("ehr_layers", -1), ("cxr_layers", -1),
+    ("notes_layers", -1), ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.1),
+])
+def test_bad_shape_setting_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})

@@ -14,7 +14,7 @@ from readmit.model import ModelConfig, ReadmissionModel, collate
 from readmit.tensor import Tensor, grad_check
 from readmit.training import (AdamW, Ensemble, LossConfig, NoiseSchedule,
                               TrainConfig, clip_gradients, cosine_lr,
-                              ensemble_predict, focal_loss, inject_noise,
+                              focal_loss, inject_noise,
                               kfold_train, label_smooth, noise_ratio_linear,
                               noise_ratio_sinusoidal, patient_folds,
                               predict_logits, predict_proba, train,
@@ -446,6 +446,21 @@ def test_kfold_trains_k_members():
     assert seeds == [0, 1, 2]
 
 
+def test_kfold_initializes_each_member_once(monkeypatch):
+    from readmit import model
+
+    seeds = []
+    build = model.build_parameters
+    monkeypatch.setattr(model, "build_parameters",
+                        lambda cfg: seeds.append(cfg.seed) or build(cfg))
+    model_cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, d_ff=6,
+                            dropout=0.0, k_ehr=50, modalities=("ehr",), seed=5)
+    ensemble = kfold_train(synth_records(12, seed=2), model_cfg,
+                           quick_train_cfg(epochs=1), k=3, jobs=1)
+    assert seeds == [5, 6, 7]
+    assert [m.config.seed for m in ensemble.members] == [5, 6, 7]
+
+
 def test_kfold_pool_failure_warns_and_trains_sequentially(monkeypatch):
     import concurrent.futures
 
@@ -460,29 +475,35 @@ def test_kfold_pool_failure_warns_and_trains_sequentially(monkeypatch):
         assert training._parallel_folds([1, 2, 3], jobs=2) == [10, 20, 30]
 
 
-class _StubModel:
-    def __init__(self, logit):
-        self._logit = logit
+def tiny_ehr_models(*seeds):
+    cfg = dict(d_model=4, n_heads=2, ehr_layers=1, d_ff=6, dropout=0.0, k_ehr=3,
+               modalities=("ehr",))
+    return [ReadmissionModel(ModelConfig(seed=seed, **cfg)) for seed in seeds]
 
-    def forward(self, bundle):
-        return self._logit
+
+def ehr_bundles(n=5):
+    rng = np.random.default_rng(3)
+    return [FeatureBundle(ehr=rng.normal(size=(1 + i % 3, 3))) for i in range(n)]
 
 
 def test_ensemble_mean_of_probabilities():
-    def logit(p):
-        return math.log(p / (1 - p))
-
-    ens = Ensemble(members=[_StubModel(logit(0.2)), _StubModel(logit(0.8))],
-                   fold_val_aucs=[])
-    assert ensemble_predict(ens, FeatureBundle()) == pytest.approx(0.5, abs=1e-12)
+    members = tiny_ehr_models(1, 2)
+    bundles = ehr_bundles()
+    p1, p2 = (predict_proba(m, bundles) for m in members)
+    assert not np.allclose(p1, p2)
+    ens = Ensemble(members=members, fold_val_aucs=[])
+    np.testing.assert_allclose(ens.predict_bundles(bundles), (p1 + p2) / 2,
+                               rtol=0, atol=1e-12)
 
 
 def test_ensemble_single_member_equals_model():
-    ens = Ensemble(members=[_StubModel(0.37)], fold_val_aucs=[])
-    expected = 1.0 / (1.0 + math.exp(-0.37))
-    assert ensemble_predict(ens, FeatureBundle()) == pytest.approx(expected, abs=1e-12)
+    (member,) = tiny_ehr_models(4)
+    bundles = ehr_bundles()
+    ens = Ensemble(members=[member], fold_val_aucs=[])
+    np.testing.assert_allclose(ens.predict_bundles(bundles), predict_proba(member, bundles),
+                               rtol=0, atol=1e-12)
 
 
 def test_ensemble_empty_errors():
     with pytest.raises(ConfigError):
-        ensemble_predict(Ensemble(members=[], fold_val_aucs=[]), FeatureBundle())
+        Ensemble(members=[], fold_val_aucs=[]).predict_bundles(ehr_bundles())
