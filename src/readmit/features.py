@@ -9,6 +9,15 @@ The forest is plain CART with Gini impurity: bootstrap per tree, ceil(sqrt(d))
 candidate features per node, unlimited depth, min_samples_split=2.  Feature
 importances are mean decrease in impurity averaged over trees and normalized
 to sum 1.
+
+Each tree sorts its bootstrap once per feature (CART presorting).  A split
+partitions those sorted row lists, so a node scores all its candidates with
+one cumsum and no sort.  Only cuts between distinct values are scored, so the
+order of tied rows changes nothing.  Tie rule: in ascending feature order, a
+candidate wins only if its weighted Gini is more than 1e-15 below the best so
+far; within a feature the lowest cut wins.  The threshold is the midpoint of the two values around the cut, or the
+lower value when the midpoint of adjacent floats rounds up to the upper one,
+so `x <= threshold` is exactly the scored partition.
 """
 
 import re
@@ -97,41 +106,29 @@ def gini(labels):
     return 1.0 - (1.0 - p1) ** 2 - p1 ** 2
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "p1")
-
-    def __init__(self, feature=-1, threshold=0.0, left=None, right=None, p1=0.0):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.p1 = p1
-
-    @property
-    def is_leaf(self):
-        return self.feature < 0
-
-
 @dataclass
 class Tree:
-    root: _Node
+    """A CART tree as flat node arrays, node 0 the root.  A leaf has feature
+    -1; an inner node sends x[feature] <= threshold to left, the rest to right."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    p1: np.ndarray              # share of positives among the node's rows
     importance: np.ndarray      # unnormalized MDI contributions
     oob_mask: np.ndarray        # rows never drawn in this tree's bootstrap
 
     def predict_proba(self, X):
-        out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.p1
-                continue
-            left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[left]))
-            stack.append((node.right, idx[~left]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:                    # one level per pass
+            f = self.feature[node[rows]]
+            rows, f = rows[f >= 0], f[f >= 0]
+            cur = node[rows]
+            node[rows] = np.where(X[rows, f] <= self.threshold[cur],
+                                  self.left[cur], self.right[cur])
+        return self.p1[node]
 
 
 @dataclass
@@ -144,83 +141,80 @@ class Forest:
         return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
 
 
-def _best_split(X, y, idx, features):
-    """Best Gini split at a node; ties go to the lowest feature index, then
-    the lowest threshold.  Returns (feature, threshold, gain) or None."""
-    n = idx.size
-    parent = gini(y[idx])
-    if parent <= 0.0:
-        return None
-    best = None
-    best_score = np.inf
-    positions = np.arange(1, n)
-    for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        sx = xs[order]
-        sy = y[idx[order]]
-        valid = sx[1:] != sx[:-1]
-        if not valid.any():
-            continue
-        pos_left = np.cumsum(sy)[:-1].astype(float)
-        n_left = positions.astype(float)
-        n_right = n - n_left
-        pos_right = y[idx].sum() - pos_left
-        p1l = pos_left / n_left
-        p1r = pos_right / n_right
-        gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
-        gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
-        weighted = (n_left * gini_l + n_right * gini_r) / n
-        weighted[~valid] = np.inf
-        i = int(np.argmin(weighted))
-        if weighted[i] < best_score - 1e-15:
-            best_score = weighted[i]
-            best = (f, 0.5 * (sx[i] + sx[i + 1]), parent - weighted[i])
-    if best is None or best[2] <= 1e-15:
-        return None
-    return best
-
-
-def _grow_tree(X, y, rng, n_root):
-    d = X.shape[1]
+def _grow_tree(X, y, ranks, rng, oob_mask):
+    """Grow one tree on its bootstrap sample (X, y); ranks (d, m) are X's
+    columns as dense integer ranks, which a stable radix sort orders fast."""
+    m, d = X.shape
     k = int(np.ceil(np.sqrt(d)))
     importance = np.zeros(d)
-    all_idx = np.arange(X.shape[0])
+    nodes = []                  # [feature, threshold, left, right, p1]
 
-    def make(idx):
-        node = _Node(p1=float(y[idx].mean()))
-        stack = [(node, idx)]
-        while stack:
-            cur, cur_idx = stack.pop()
-            if cur_idx.size < 2 or y[cur_idx].min() == y[cur_idx].max():
-                continue
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-            split = _best_split(X, y, cur_idx, feats)
-            if split is None:
-                continue
-            f, thr, gain = split
-            importance[f] += (cur_idx.size / n_root) * gain
-            left_mask = X[cur_idx, f] <= thr
-            li, ri = cur_idx[left_mask], cur_idx[~left_mask]
-            cur.feature, cur.threshold = f, thr
-            cur.left = _Node(p1=float(y[li].mean()))
-            cur.right = _Node(p1=float(y[ri].mean()))
-            stack.append((cur.left, li))
-            stack.append((cur.right, ri))
-        return node
+    def leaf(pos, n):
+        nodes.append([-1, 0.0, -1, -1, pos / n])
+        return len(nodes) - 1
 
-    return make(all_idx), importance
+    # A node holds its rows as a (d, n) block: row f lists them in ascending
+    # X[:, f].  Every block row holds the same rows, so a child's mask keeps
+    # the same count in each and reshapes to (d, n_child).
+    pos = int(y.sum())
+    stack = [(leaf(pos, m), np.argsort(ranks, axis=1, kind="stable"), pos)]
+    n_left = np.arange(1.0, m)
+    while stack:
+        node, block, pos = stack.pop()
+        n = block.shape[1]
+        if not 0 < pos < n:                 # pure: a leaf, and no draw
+            continue
+        p1 = pos / n
+        parent = 1.0 - (1.0 - p1) ** 2 - p1 ** 2
+        feats = np.sort(rng.choice(d, size=k, replace=False))
+        cand = block[feats]
+        xs = X[cand, feats[:, None]]
+        pos_left = np.cumsum(y[cand], axis=1)[:, :-1].astype(float)
+        nl = n_left[:n - 1]
+        p1l = pos_left / nl
+        p1r = (pos - pos_left) / (n - nl)
+        gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
+        gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
+        weighted = (nl * gini_l + (n - nl) * gini_r) / n
+        weighted[xs[:, 1:] == xs[:, :-1]] = np.inf
+        at = weighted.argmin(axis=1)
+        # Ascending feature order; a later feature must win by more than 1e-15.
+        best, best_score = None, np.inf
+        for j, score in enumerate(weighted[np.arange(k), at].tolist()):
+            if score < best_score - 1e-15:
+                best, best_score = j, score
+        if best is None or parent - best_score <= 1e-15:
+            continue
+        f, i = int(feats[best]), int(at[best])
+        importance[f] += (n / m) * (parent - best_score)
+        lo, hi = xs[best, i], xs[best, i + 1]
+        thr = 0.5 * (lo + hi)
+        if thr == hi:                       # the midpoint rounded up to hi
+            thr = lo
+        goes_left = np.zeros(m, dtype=bool)
+        goes_left[cand[best, :i + 1]] = True
+        mask = goes_left[block]
+        lpos = int(pos_left[best, i])
+        li, ri = leaf(lpos, i + 1), leaf(pos - lpos, n - i - 1)
+        nodes[node][:4] = f, thr, li, ri
+        stack.append((li, block[mask].reshape(d, i + 1), lpos))
+        stack.append((ri, block[~mask].reshape(d, n - i - 1), pos - lpos))
+    return Tree(*map(np.array, zip(*nodes)), importance=importance, oob_mask=oob_mask)
 
 
-def _fit_tree(X, y, seed, tree_index):
-    rng = np.random.default_rng([seed, tree_index])
+def _fit_trees(X, y, seed, start, stop):
+    """Trees start..stop-1; tree i draws only from its own (seed, i) stream."""
+    trees = []
     m = X.shape[0]
-    boot = rng.integers(0, m, size=m)
-    oob = np.ones(m, dtype=bool)
-    oob[boot] = False
-    Xb, yb = X[boot], y[boot]
-    root, imp = _grow_tree(Xb, yb, rng, m)
-    return Tree(root=root, importance=imp, oob_mask=oob)
+    ranks = np.array([np.unique(col, return_inverse=True)[1] for col in X.T],
+                     dtype=np.min_scalar_type(m))
+    for i in range(start, stop):
+        rng = np.random.default_rng([seed, i])
+        boot = rng.integers(0, m, size=m)
+        oob = np.ones(m, dtype=bool)
+        oob[boot] = False
+        trees.append(_grow_tree(X[boot], y[boot], ranks[:, boot], rng, oob))
+    return trees
 
 
 def train_random_forest(X, y, n_trees=100, seed=0, jobs=1):
@@ -234,21 +228,24 @@ def train_random_forest(X, y, n_trees=100, seed=0, jobs=1):
     if jobs > 1:
         trees = _parallel_trees(X, y, n_trees, seed, jobs)
     else:
-        trees = [_fit_tree(X, y, seed, i) for i in range(n_trees)]
+        trees = _fit_trees(X, y, seed, 0, n_trees)
     return Forest(trees=trees, n_features=X.shape[1], seed=seed)
 
 
 def _parallel_trees(X, y, n_trees, seed, jobs):
+    """One contiguous range of trees per worker, so X and y are sent once each."""
     from concurrent.futures import ProcessPoolExecutor
 
+    bounds = [n_trees * w // jobs for w in range(jobs + 1)]
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_fit_tree, X, y, seed, i) for i in range(n_trees)]
-            return [f.result() for f in futures]
+            futures = [pool.submit(_fit_trees, X, y, seed, a, b)
+                       for a, b in zip(bounds, bounds[1:])]
+            return [t for f in futures for t in f.result()]
     except OSError as exc:
         warnings.warn(f"process pool failed ({exc!r}); fitting {n_trees} trees sequentially",
                       RuntimeWarning, stacklevel=3)
-        return [_fit_tree(X, y, seed, i) for i in range(n_trees)]
+        return _fit_trees(X, y, seed, 0, n_trees)
 
 
 def oob_accuracy(forest, X, y):

@@ -402,7 +402,7 @@ def _train_fold(args):
     vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **caps)
     result = train(ReadmissionModel(cfg), tb, tl, vb, vl,
                    replace(train_cfg, seed=train_cfg.seed + fold))
-    return result.model.get_state(), result.best_val_auc, result.history
+    return result.model.get_state(), result.best_val_auc
 
 
 def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
@@ -426,9 +426,9 @@ def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
     members = [
         ReadmissionModel(replace(model_cfg, seed=model_cfg.seed + fold),
                          params={n: T.Tensor(a, requires_grad=True) for n, a in state.items()})
-        for fold, (state, _, _) in enumerate(results)
+        for fold, (state, _) in enumerate(results)
     ]
-    return Ensemble(members=members, fold_val_aucs=[a for _, a, _ in results],
+    return Ensemble(members=members, fold_val_aucs=[a for _, a in results],
                     selection=selection, tfidf=tfidf)
 
 

@@ -1,11 +1,17 @@
 """TF-IDF, random forest, feature selection, bundle construction."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readmit.data import SynthConfig, generate_synthetic
+import readmit
+from readmit.data import SynthConfig, generate_synthetic, split_by_patient
 from readmit.errors import ConfigError, DataError
 from readmit.features import (apply_selection, build_bundle, feature_importances,
                               fit_tfidf, gini, oob_accuracy,
@@ -161,6 +167,146 @@ def test_forest_parallel_jobs_deterministic():
     par = train_random_forest(X, y, n_trees=12, seed=4, jobs=3)
     np.testing.assert_array_equal(feature_importances(seq), feature_importances(par))
     np.testing.assert_array_equal(seq.predict_proba(X), par.predict_proba(X))
+    assert len(seq.trees) == len(par.trees) == 12
+    for a, b in zip(seq.trees, par.trees):
+        for name in ("feature", "threshold", "left", "right", "p1", "importance", "oob_mask"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def _sha(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def _train_short_cohort():
+    ds, _ = generate_synthetic(SynthConfig(n_patients=500, seed=1))
+    tr, _, _ = split_by_patient(ds, (0.7, 0.15, 0.15), seed=1)
+    return patient_mean_features(tr)
+
+
+# sha256 of the input (X then y), of feature_importances and of predict_proba
+# on the training rows, recorded with the earlier forest that re-sorted every
+# candidate feature at every node.  The presorted forest must match it byte
+# for byte.
+FOREST_PINS = [
+    pytest.param(_train_short_cohort, 100, 1,
+                 "b147e56f6765c472b7a86547017e930d9198a14cf80524086a8c27846c32025f",
+                 "65be4d2f45d28fbd5bb7371f20852373a74285a7095d2c6f70e2447740ef0181",
+                 "6dad86011aaed9f683330b4198f111f65255fbf38e2ae29887c7db6bcb078d48",
+                 id="train_short_cohort"),
+    pytest.param(separable_data, 20, 0,
+                 "f861c4bf46e763cd6d6078338b929a87477604d93bf7c4f0d4d6f23df085faaf",
+                 "99ba22c8bd8c025a5f844c73e7e9c5596a9bdb6488cca606e025ff565f8ab4ae",
+                 "16556bdafa1efa2feadbb8b32397cf5456b17b7a01e1d2fa874a1ba78d8e3a8e",
+                 id="separable_data"),
+]
+
+
+@pytest.mark.parametrize("make, n_trees, seed, input_sha, imp_sha, probs_sha", FOREST_PINS)
+def test_forest_output_pinned(make, n_trees, seed, input_sha, imp_sha, probs_sha):
+    X, y = make()
+    assert _sha(X, y) == input_sha, "the forest's input changed, not the forest"
+    forest = train_random_forest(X, y, n_trees=n_trees, seed=seed)
+    assert _sha(feature_importances(forest)) == imp_sha
+    assert _sha(forest.predict_proba(X)) == probs_sha
+
+
+def _rows_per_node(tree, X):
+    counts = np.zeros(tree.feature.size, dtype=int)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        counts[node] = rows.size
+        f = tree.feature[node]
+        if f >= 0:
+            go_left = X[rows, f] <= tree.threshold[node]
+            stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+    return counts
+
+
+_FIT = """
+import numpy as np
+from readmit.features import train_random_forest
+train_random_forest(np.array({X}), np.array({y}), n_trees=5, seed=0)
+"""
+
+
+@pytest.mark.parametrize("values, labels", [
+    ([np.nextafter(1.0, 0.0), 1.0], [0, 1]),
+    ([np.nextafter(1.0, 0.0), 1.0, 2.0], [0, 1, 0]),
+], ids=["pair", "values_above"])
+def test_forest_split_between_adjacent_floats(values, labels):
+    """The midpoint of two adjacent floats rounds to the upper one; the split
+    must then fall at the lower one, or `<= threshold` sends every row left."""
+    X = np.array([[v] for v in values] * 10)
+    y = np.array(labels * 10)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(readmit.__file__)))
+    code = _FIT.format(X=X.tolist(), y=y.tolist())
+    try:
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the forest fit did not return within 60 s")
+    forest = train_random_forest(X, y, n_trees=5, seed=0)
+    for tree in forest.trees:
+        counts = _rows_per_node(tree, X)
+        inner = tree.feature >= 0
+        assert (counts[tree.left[inner]] > 0).all() and (counts[tree.right[inner]] > 0).all()
+        assert 1.0 not in tree.threshold[inner]
+    np.testing.assert_array_equal(forest.predict_proba(X), y)
+
+
+def _reference_tree(X, y, seed, tree_index):
+    """Tree `tree_index` of train_random_forest(X, y, seed=seed) grown by the
+    earlier per-node loop, which argsorts each candidate afresh at each node.
+    Returns the tree's importances and its probability for each row of X."""
+    rng = np.random.default_rng([seed, tree_index])
+    m, d = X.shape
+    boot = rng.integers(0, m, size=m)
+    Xb, yb = X[boot], y[boot]
+    importance, proba = np.zeros(d), np.empty(m)
+    stack = [(np.arange(m), np.arange(m))]      # rows of (Xb, X) at a node
+    while stack:
+        idx, rows = stack.pop()
+        n, pos = idx.size, yb[idx].sum()
+        proba[rows] = pos / n
+        if not 0 < pos < n:
+            continue
+        best, best_score = None, np.inf
+        for f in np.sort(rng.choice(d, size=int(np.ceil(np.sqrt(d))), replace=False)):
+            order = idx[np.argsort(Xb[idx, f], kind="stable")]
+            sx = Xb[order, f]
+            n_left = np.arange(1, n).astype(float)
+            pos_left = np.cumsum(yb[order])[:-1].astype(float)
+            p1l, p1r = pos_left / n_left, (pos - pos_left) / (n - n_left)
+            weighted = (n_left * (1.0 - p1l ** 2 - (1.0 - p1l) ** 2)
+                        + (n - n_left) * (1.0 - p1r ** 2 - (1.0 - p1r) ** 2)) / n
+            weighted[sx[1:] == sx[:-1]] = np.inf
+            i = int(np.argmin(weighted))
+            if weighted[i] < best_score - 1e-15:
+                best, best_score = (f, sx[i], sx[i + 1]), weighted[i]
+        gain = gini(yb[idx]) - best_score
+        if best is None or gain <= 1e-15:
+            continue
+        f, lo, hi = best
+        thr = lo if 0.5 * (lo + hi) == hi else 0.5 * (lo + hi)
+        importance[f] += n / m * gain
+        go, go_rows = Xb[idx, f] <= thr, X[rows, f] <= thr
+        stack += [(idx[go], rows[go_rows]), (idx[~go], rows[~go_rows])]
+    return importance, proba
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), levels=st.integers(2, 6))
+def test_forest_matches_per_node_sort_reference(seed, levels):
+    """Few distinct values per column, so ties decide many splits."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(60, 7)).astype(float)
+    y = (X[:, 0] + rng.integers(0, 2, size=60) >= levels / 2).astype(int)
+    y[:2] = [0, 1]
+    forest = train_random_forest(X, y, n_trees=3, seed=seed)
+    for i, tree in enumerate(forest.trees):
+        importance, proba = _reference_tree(X, y, seed, i)
+        np.testing.assert_array_equal(tree.importance, importance)
+        np.testing.assert_array_equal(tree.predict_proba(X), proba)
 
 
 def _failing_pool(*args, **kwargs):
