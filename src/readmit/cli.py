@@ -164,6 +164,15 @@ def _run_configs(settings):
     return ModelConfig(seed=train_cfg.seed, **settings["model"]), train_cfg
 
 
+def _set_k_ehr(settings, model_cfg, k, source):
+    """Give the model the ``k`` EHR columns the run feeds it; a configured
+    ``[model] k_ehr`` that differs is rejected, not replaced."""
+    configured = settings["model"].get("k_ehr")
+    if configured is not None and configured != k:
+        raise ConfigError(f"model.k_ehr = {configured}, but {source} gives {k} EHR features")
+    model_cfg.k_ehr = k
+
+
 def _require_file(path, kind):
     if not Path(path).is_file():
         raise DataError(f"{kind} file does not exist: {path}")
@@ -259,7 +268,10 @@ def cmd_train(args):
     settings = resolve_settings(args, file_cfg)
     model_cfg, train_cfg = _run_configs(settings)
     if "ehr" in model_cfg.modalities:
-        model_cfg.k_ehr = selection.k if selection is not None else ds.d
+        if selection is not None:
+            _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
+        else:
+            _set_k_ehr(settings, model_cfg, ds.d, f"--no-select on {data_path}")
     fracs, split_seed = _split_spec(settings)
 
     train_ds, val_ds, test_ds = split_by_patient(ds, fracs, seed=split_seed)
@@ -320,13 +332,14 @@ def cmd_kfold(args):
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
 
-    model_cfg, train_cfg = _run_configs(resolve_settings(args, file_cfg))
+    settings = resolve_settings(args, file_cfg)
+    model_cfg, train_cfg = _run_configs(settings)
 
     selection = None
     if args.selection:
         with open(_require_file(args.selection, "selection"), "r", encoding="utf-8") as fh:
             selection = FeatureSelection.from_json(json.load(fh))
-        model_cfg.k_ehr = selection.k
+        _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
     elif "ehr" in model_cfg.modalities:
         X, y = patient_mean_features(ds)
         forest = train_random_forest(X, y, n_trees=args.trees, seed=train_cfg.seed,

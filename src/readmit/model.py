@@ -223,42 +223,11 @@ def _attention_block(h, key_bias, params, prefix, cfg, training, rng):
 
 
 def _gru_layer(h_seq, params, prefix, batch, d, dtype):
-    steps = h_seq.shape[-2]
-    state = Tensor(np.zeros((batch, d), dtype=dtype))
-    outputs = []
-    wr, wz, wn = params[f"{prefix}.wr"], params[f"{prefix}.wz"], params[f"{prefix}.wn"]
-    ur, uz, un = params[f"{prefix}.ur"], params[f"{prefix}.uz"], params[f"{prefix}.un"]
-    br, bz, bn = params[f"{prefix}.br"], params[f"{prefix}.bz"], params[f"{prefix}.bn"]
-    for t in range(steps):
-        x = T.reshape(T.slice_steps(h_seq, t, t + 1), (batch, d))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, wr), T.matmul(state, ur)), br))
-        z = T.sigmoid(T.add(T.add(T.matmul(x, wz), T.matmul(state, uz)), bz))
-        n = T.tanh(T.add(T.add(T.matmul(x, wn), T.mul(r, T.matmul(state, un))), bn))
-        keep = T.mul(z, state)
-        state = T.add(keep, T.mul(T.add_const(T.neg(z), 1.0), n))
-        outputs.append(T.reshape(state, (batch, 1, d)))
-    return T.concat(outputs, axis=-2)
+    return T.gru(h_seq, *(params[f"{prefix}.{kind}{gate}"] for kind in "wub" for gate in "rzn"))
 
 
 def _lstm_layer(h_seq, params, prefix, batch, d, dtype):
-    steps = h_seq.shape[-2]
-    h = Tensor(np.zeros((batch, d), dtype=dtype))
-    c = Tensor(np.zeros((batch, d), dtype=dtype))
-    outputs = []
-    for t in range(steps):
-        x = T.reshape(T.slice_steps(h_seq, t, t + 1), (batch, d))
-        gates = {}
-        for gate in ("i", "f", "g", "o"):
-            pre = T.add(
-                T.add(T.matmul(x, params[f"{prefix}.w{gate}"]),
-                      T.matmul(h, params[f"{prefix}.u{gate}"])),
-                params[f"{prefix}.b{gate}"],
-            )
-            gates[gate] = T.tanh(pre) if gate == "g" else T.sigmoid(pre)
-        c = T.add(T.mul(gates["f"], c), T.mul(gates["i"], gates["g"]))
-        h = T.mul(gates["o"], T.tanh(c))
-        outputs.append(T.reshape(h, (batch, 1, d)))
-    return T.concat(outputs, axis=-2)
+    return T.lstm(h_seq, *(params[f"{prefix}.{kind}{gate}"] for kind in "wub" for gate in "ifgo"))
 
 
 def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):

@@ -19,13 +19,18 @@ Conventions:
     until ``zero_grad()`` is called;
   * broadcasting is deliberately restricted: learnable operands broadcast
     only as 1-D bias vectors over rows; arbitrary broadcasting is allowed
-    only for non-learnable constants (``add_const`` / ``mul_const``).
+    only for non-learnable constants (``add_const`` / ``mul_const``);
+  * the fused recurrent ops ``gru`` and ``lstm`` run a whole layer over a
+    (B, S, d) sequence as one graph node: the forward pass keeps every
+    step's gates and states, and the hand-written backward pass runs
+    through time in reverse, then forms each weight, bias and input
+    gradient with one GEMM or one sum over all steps.
 """
 
 import math
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 # Finite stand-in for -inf in attention masks: exp(MASK_NEG - max) underflows
 # to exactly 0 while keeping every forward value finite.
@@ -334,12 +339,7 @@ def relu(a):
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return expit(x)
 
 
 def sigmoid(a):
@@ -549,6 +549,163 @@ def dropout(a, p, rng):
         return a
     keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
     return mul_const(a, keep)
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent layers
+#
+# Both ops work time-major inside: step t of every sequence is the
+# contiguous (B, d) block [t] of an (S, B, .) array.  Gate weights are
+# concatenated along columns at call time, so each step makes one recurrent
+# GEMM, and the input projections of all steps are one GEMM before the loop.
+
+
+def _recurrent_weights(op, x, ws, us, bs):
+    """Column-concatenated input weights, recurrent weights and biases."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"{op} needs a (batch, steps, features) input, got {_fmt(x.shape)}")
+    d_in = x.shape[2]
+    d = bs[0].shape[0] if bs[0].data.ndim == 1 else 0
+    for group, shape in ((ws, (d_in, d)), (us, (d, d)), (bs, (d,))):
+        for t in group:
+            if t.shape != shape or d == 0:
+                raise ShapeError(
+                    f"{op} with input {_fmt(x.shape)} needs weights {_fmt((d_in, d))}, "
+                    f"recurrent weights {_fmt((d, d))} and biases {_fmt((d,))}, "
+                    f"got {_fmt(t.shape)}"
+                )
+    return tuple(np.concatenate([t.data for t in group], axis=-1) for group in (ws, us, bs))
+
+
+def _input_projection(x, W, b):
+    """Time-major (S·B, d_in) input rows and their (S, B, k·d) projections."""
+    B, S, d_in = x.shape
+    xt = np.swapaxes(x.data, 0, 1).reshape(S * B, d_in)
+    return xt, (xt @ W + b).reshape(S, B, -1)
+
+
+def _split_accumulate(tensors, g):
+    """Accumulate equal blocks of ``g``'s last axis into ``tensors``, in order."""
+    width = g.shape[-1] // len(tensors)
+    for i, t in enumerate(tensors):
+        if t.requires_grad:
+            _accumulate(t, g[..., i * width:(i + 1) * width], alias=True)
+
+
+def _recurrent_grads(x, xt, H, W, DA, DHP, ws, us, bs):
+    """Weight, bias and input gradients from the per-step gate gradients.
+
+    ``DA`` holds the gradients of the input-side pre-activations and ``DHP``
+    those of ``h @ U``, both (S, B, k·d); ``H[:-1]`` are the states each step
+    started from.
+    """
+    S, B, k = DA.shape
+    da = DA.reshape(S * B, k)
+    _split_accumulate(ws, xt.T @ da)
+    _split_accumulate(us, H[:-1].reshape(S * B, -1).T @ DHP.reshape(S * B, k))
+    _split_accumulate(bs, da.sum(axis=0))
+    if x.requires_grad:
+        _accumulate(x, np.swapaxes((da @ W.T).reshape(S, B, -1), 0, 1))
+
+
+def gru(x, wr, wz, wn, ur, uz, un, br, bz, bn):
+    """One GRU layer over a (B, S, d_in) input; returns all (B, S, d) states.
+
+    From h = 0, each step computes r = sigmoid(x wr + h ur + br),
+    z = sigmoid(x wz + h uz + bz), n = tanh(x wn + r * (h un) + bn) and
+    h = z * h + (1 - z) * n.  Padded steps are not masked.  The whole layer
+    is one graph node; its backward runs through time.
+    """
+    ws, us, bs = (wr, wz, wn), (ur, uz, un), (br, bz, bn)
+    W, U, b = _recurrent_weights("gru", x, ws, us, bs)
+    xt, XP = _input_projection(x, W, b)
+    S, B, _ = XP.shape
+    d = U.shape[0]
+    H = np.zeros((S + 1, B, d), dtype=XP.dtype)
+    HP = np.empty_like(XP)                           # h @ U per step
+    RZ = np.empty((S, B, 2 * d), dtype=XP.dtype)     # gates r | z
+    N = np.empty((S, B, d), dtype=XP.dtype)
+    for t in range(S):
+        hp = np.matmul(H[t], U, out=HP[t])
+        rz = expit(np.add(XP[t, :, :2 * d], hp[:, :2 * d], out=RZ[t]), out=RZ[t])
+        n = np.add(XP[t, :, 2 * d:], rz[:, :d] * hp[:, 2 * d:], out=N[t])
+        np.tanh(n, out=n)
+        z = rz[:, d:]
+        H[t + 1] = z * H[t] + (1.0 - z) * n
+
+    def backward(g):
+        G = np.swapaxes(g, 0, 1)
+        R, Z = RZ[..., :d], RZ[..., d:]
+        dsig = RZ * (1.0 - RZ)
+        dn_pre = (1.0 - Z) * (1.0 - N * N)          # d h_t / d(n's pre-activation)
+        h_minus_n = H[:-1] - N
+        UT = U.T
+        DA = np.empty_like(HP)
+        DHP = np.empty_like(HP)
+        dh = np.zeros((B, d), dtype=H.dtype)
+        for t in reversed(range(S)):
+            dh = dh + G[t]
+            da_n = np.multiply(dh, dn_pre[t], out=DA[t, :, 2 * d:])
+            dhp = DHP[t]
+            np.multiply(da_n, HP[t, :, 2 * d:], out=dhp[:, :d])
+            np.multiply(dh, h_minus_n[t], out=dhp[:, d:2 * d])
+            dhp[:, :2 * d] *= dsig[t]
+            np.multiply(da_n, R[t], out=dhp[:, 2 * d:])
+            dh = dh * Z[t] + dhp @ UT
+        DA[..., :2 * d] = DHP[..., :2 * d]
+        _recurrent_grads(x, xt, H, W, DA, DHP, ws, us, bs)
+
+    return _result(np.swapaxes(H[1:], 0, 1), (x,) + ws + us + bs, backward)
+
+
+def lstm(x, wi, wf, wg, wo, ui, uf, ug, uo, bi, bf, bg, bo):
+    """One LSTM layer over a (B, S, d_in) input; returns all (B, S, d) states.
+
+    From h = c = 0, each step computes the gates i, f, o = sigmoid(x w + h u
+    + b) and g = tanh(x wg + h ug + bg), then c = f * c + i * g and
+    h = o * tanh(c).  Padded steps are not masked.  The whole layer is one
+    graph node; its backward runs through time.
+    """
+    # inside, the gates are ordered i, f, o, g so the sigmoids are one block
+    ws, us, bs = (wi, wf, wo, wg), (ui, uf, uo, ug), (bi, bf, bo, bg)
+    W, U, b = _recurrent_weights("lstm", x, ws, us, bs)
+    xt, XP = _input_projection(x, W, b)
+    S, B, _ = XP.shape
+    d = U.shape[0]
+    H = np.zeros((S + 1, B, d), dtype=XP.dtype)
+    C = np.zeros((S + 1, B, d), dtype=XP.dtype)
+    TC = np.empty((S, B, d), dtype=XP.dtype)         # tanh(c) per step
+    GA = np.empty_like(XP)                           # gate activations i | f | o | g
+    for t in range(S):
+        a = np.add(XP[t], H[t] @ U, out=GA[t])
+        expit(a[:, :3 * d], out=a[:, :3 * d])
+        np.tanh(a[:, 3 * d:], out=a[:, 3 * d:])
+        C[t + 1] = a[:, d:2 * d] * C[t] + a[:, :d] * a[:, 3 * d:]
+        np.multiply(a[:, 2 * d:3 * d], np.tanh(C[t + 1], out=TC[t]), out=H[t + 1])
+
+    def backward(g):
+        G = np.swapaxes(g, 0, 1)
+        sig = GA[..., :3 * d]
+        dact = np.concatenate([sig * (1.0 - sig), 1.0 - GA[..., 3 * d:] ** 2], axis=-1)
+        dc_dh = GA[..., 2 * d:3 * d] * (1.0 - TC * TC)
+        UT = U.T
+        DA = np.empty_like(GA)
+        dh = np.zeros((B, d), dtype=H.dtype)
+        dc = np.zeros((B, d), dtype=H.dtype)
+        for t in reversed(range(S)):
+            dh = dh + G[t]
+            dc = dc + dh * dc_dh[t]
+            ga, da = GA[t], DA[t]
+            np.multiply(dc, ga[:, 3 * d:], out=da[:, :d])
+            np.multiply(dc, C[t], out=da[:, d:2 * d])
+            np.multiply(dh, TC[t], out=da[:, 2 * d:3 * d])
+            np.multiply(dc, ga[:, :d], out=da[:, 3 * d:])
+            da *= dact[t]
+            dc = dc * ga[:, d:2 * d]
+            dh = da @ UT
+        _recurrent_grads(x, xt, H, W, DA, DA, ws, us, bs)
+
+    return _result(np.swapaxes(H[1:], 0, 1), (x,) + ws + us + bs, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,31 @@ def test_config_file_loss_reduction_rejected(tmp_path, workspace):
     assert "reduction" in r.stderr
 
 
+@pytest.mark.parametrize("command,source,k", [
+    ("train", "--selection", 10), ("train", "--no-select", 50), ("kfold", "--selection", 10),
+])
+def test_configured_k_ehr_that_differs_is_rejected(tmp_path, workspace, command, source, k):
+    cfg = tmp_path / "k.ini"
+    cfg.write_text("[model]\nk_ehr = 20\n")
+    source_args = [source, workspace["sel"]] if source == "--selection" else [source]
+    out = tmp_path / "o"
+    r = run_cli(command, "--data", workspace["data"], "--out", out, "--config", cfg,
+                "--epochs", 1, *source_args)
+    assert r.returncode == 2
+    assert "k_ehr = 20" in r.stderr and f"{k} EHR features" in r.stderr
+    assert not out.exists()
+
+
+def test_configured_k_ehr_that_matches_the_selection_is_kept(tmp_path, workspace):
+    cfg = tmp_path / "k.ini"
+    cfg.write_text("[model]\nk_ehr = 10\n")
+    out = tmp_path / "o"
+    r = run_cli("train", "--data", workspace["data"], "--out", out, "--config", cfg,
+                "--epochs", 1, "--selection", workspace["sel"])
+    assert r.returncode == 0, r.stderr
+    assert json.loads((out / "model.json").read_text())["config"]["k_ehr"] == 10
+
+
 def test_pt_seed_env_fallback(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     r = run_cli("synth", "--out", a, "--patients", 10, "--seed", 77)

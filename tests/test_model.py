@@ -309,6 +309,105 @@ def test_gru_gradient_three_steps():
     assert grad_check(fn, x) < 1e-4
 
 
+def _reference_gru(h_seq, params, prefix, batch, d, dtype):
+    """The per-step graph composition the fused ``T.gru`` replaces."""
+    steps = h_seq.shape[-2]
+    state = Tensor(np.zeros((batch, d), dtype=dtype))
+    outputs = []
+    wr, wz, wn = params[f"{prefix}.wr"], params[f"{prefix}.wz"], params[f"{prefix}.wn"]
+    ur, uz, un = params[f"{prefix}.ur"], params[f"{prefix}.uz"], params[f"{prefix}.un"]
+    br, bz, bn = params[f"{prefix}.br"], params[f"{prefix}.bz"], params[f"{prefix}.bn"]
+    for t in range(steps):
+        x = T.reshape(T.slice_steps(h_seq, t, t + 1), (batch, d))
+        r = T.sigmoid(T.add(T.add(T.matmul(x, wr), T.matmul(state, ur)), br))
+        z = T.sigmoid(T.add(T.add(T.matmul(x, wz), T.matmul(state, uz)), bz))
+        n = T.tanh(T.add(T.add(T.matmul(x, wn), T.mul(r, T.matmul(state, un))), bn))
+        keep = T.mul(z, state)
+        state = T.add(keep, T.mul(T.add_const(T.neg(z), 1.0), n))
+        outputs.append(T.reshape(state, (batch, 1, d)))
+    return T.concat(outputs, axis=-2)
+
+
+def _reference_lstm(h_seq, params, prefix, batch, d, dtype):
+    """The per-step graph composition the fused ``T.lstm`` replaces."""
+    steps = h_seq.shape[-2]
+    h = Tensor(np.zeros((batch, d), dtype=dtype))
+    c = Tensor(np.zeros((batch, d), dtype=dtype))
+    outputs = []
+    for t in range(steps):
+        x = T.reshape(T.slice_steps(h_seq, t, t + 1), (batch, d))
+        gates = {}
+        for gate in ("i", "f", "g", "o"):
+            pre = T.add(
+                T.add(T.matmul(x, params[f"{prefix}.w{gate}"]),
+                      T.matmul(h, params[f"{prefix}.u{gate}"])),
+                params[f"{prefix}.b{gate}"],
+            )
+            gates[gate] = T.tanh(pre) if gate == "g" else T.sigmoid(pre)
+        c = T.add(T.mul(gates["f"], c), T.mul(gates["i"], gates["g"]))
+        h = T.mul(gates["o"], T.tanh(c))
+        outputs.append(T.reshape(h, (batch, 1, d)))
+    return T.concat(outputs, axis=-2)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_fused_recurrent_layer_matches_per_step_reference(kind, steps, dtype):
+    cfg = tiny_config(encoder=kind, dtype=dtype)
+    dt = cfg.np_dtype()
+    rng = np.random.default_rng(11)
+    layer = {name: rng.normal(scale=0.6, size=p.shape).astype(dt)
+             for name, p in build_parameters(cfg).items() if name.startswith("ehr.l0.")}
+    x = rng.normal(size=(3, steps, 4)).astype(dt)
+    for row, length in enumerate([steps, max(1, steps - 3), 1]):
+        x[row, length:] = 0.0                        # ragged, zero-padded
+    weights = rng.normal(size=(3, steps, 4)).astype(dt)
+
+    def run(fn):
+        params = {name: Tensor(v.copy(), requires_grad=True) for name, v in layer.items()}
+        inp = Tensor(x.copy(), requires_grad=True)
+        h = fn(inp, params, "ehr.l0", 3, 4, dt)
+        T.mul_const(h, weights).sum().backward()
+        return h.data, inp.grad, {name: p.grad for name, p in params.items()}
+
+    fused = run(_gru_layer if kind == "gru" else _lstm_layer)
+    ref = run(_reference_gru if kind == "gru" else _reference_lstm)
+    tol = dict(rtol=1e-10, atol=1e-12) if dtype == "float64" else dict(rtol=1e-4, atol=1e-5)
+    assert fused[0].dtype == dt and fused[1].dtype == dt
+    np.testing.assert_allclose(fused[0], ref[0], **tol)
+    np.testing.assert_allclose(fused[1], ref[1], **tol)
+    assert set(fused[2]) == set(ref[2]) and len(ref[2]) == len(layer)
+    for name in ref[2]:
+        assert fused[2][name].dtype == dt, name
+        np.testing.assert_allclose(fused[2][name], ref[2][name], err_msg=name, **tol)
+
+
+def _graph_nodes(root):
+    """Tensors reachable from ``root`` through the autodiff graph, root
+    included: the count perfbench reports as graph nodes per step."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_recurrent_training_graph_does_not_grow_with_steps(kind):
+    model = ReadmissionModel(tiny_config(encoder=kind, ehr_layers=2))
+    counts = []
+    for steps in (2, 10):
+        batch = collate(ehr_bundles(3, lengths=[steps, steps, 1]), ("ehr",))
+        loss = focal_loss(model.forward_batch(batch, training=True),
+                          np.array([1.0, 0.0, 1.0]), LossConfig())
+        counts.append(_graph_nodes(loss))
+    assert counts[0] == counts[1]
+
+
 def test_recurrent_models_forward():
     bundles = ehr_bundles(3)
     for kind in ("gru", "lstm"):

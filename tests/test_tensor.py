@@ -133,6 +133,23 @@ def test_sigmoid_range_and_gradient():
     assert grad_check(lambda t: T.sigmoid(t).sum(), x) < 1e-6
 
 
+def _two_branch_sigmoid(x):
+    """The stable sigmoid written out: exp of a non-positive value on each side."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_np_saturates_and_matches_two_branch_formula():
+    ends = T._sigmoid_np(np.array([-1000.0, 1000.0]))
+    assert np.isfinite(ends).all() and ((ends >= 0.0) & (ends <= 1.0)).all()
+    grid = np.linspace(-50.0, 50.0, 20001)
+    assert np.abs(T._sigmoid_np(grid) - _two_branch_sigmoid(grid)).max() <= 4e-16
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 
@@ -407,3 +424,46 @@ def test_forward_outputs_finite_on_finite_inputs():
     for out in (T.softmax(x, axis=-1), T.sigmoid(x), T.layer_norm(x, g, b),
                 T.gelu(x), T.add_const(x, np.full((3, 8), T.MASK_NEG))):
         assert np.isfinite(out.data).all()
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent layers
+
+RECURRENT_OPERANDS = {
+    "gru": ("x", "wr", "wz", "wn", "ur", "uz", "un", "br", "bz", "bn"),
+    "lstm": ("x", "wi", "wf", "wg", "wo", "ui", "uf", "ug", "uo", "bi", "bf", "bg", "bo"),
+}
+
+
+def recurrent_operands(kind, batch=2, steps=3, d_in=2, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (batch, steps, d_in), "w": (d_in, d), "u": (d, d), "b": (d,)}
+    return [rng.normal(scale=0.7, size=shapes[name[0]]) for name in RECURRENT_OPERANDS[kind]]
+
+
+@pytest.mark.parametrize("kind,index", [(kind, i) for kind, names in RECURRENT_OPERANDS.items()
+                                        for i in range(len(names))],
+                         ids=[f"{kind}-{name}" for kind, names in RECURRENT_OPERANDS.items()
+                              for name in names])
+def test_recurrent_op_gradient(kind, index):
+    op = getattr(T, kind)
+    values = recurrent_operands(kind)
+    weights = np.random.default_rng(1).normal(size=(2, 3, 3))
+
+    def fn(t):
+        operands = [Tensor(v) for v in values]
+        operands[index] = t
+        return T.mul_const(op(*operands), weights).sum()
+
+    assert grad_check(fn, leaf(values[index])) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_recurrent_op_rejects_mismatched_shapes(kind):
+    op = getattr(T, kind)
+    values = recurrent_operands(kind)
+    values[1] = values[1][:, :2]
+    with pytest.raises(ShapeError, match=kind):
+        op(*[Tensor(v) for v in values])
+    with pytest.raises(ShapeError, match="input"):
+        op(*[Tensor(v) for v in [values[0][0]] + recurrent_operands(kind)[1:]])
