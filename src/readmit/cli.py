@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SynthConfig, generate_synthetic, load_dataset, save_dataset,
-                   split_by_patient)
+from .data import (SPLIT_FRACTIONS as SPLIT_DEFAULT, SynthConfig, generate_synthetic,
+                   load_dataset, save_dataset, split_by_patient)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc, evaluate, save_report
 from .features import (FeatureSelection, feature_importances, fit_tfidf,
@@ -32,8 +32,6 @@ from .model import (DTYPES, ENCODERS, MODALITY_ORDER, ModelConfig,
 from .training import (NOISE_KINDS, Ensemble, LossConfig, NoiseSchedule,
                        TrainConfig, kfold_train, predict_proba, train,
                        write_history_csv)
-
-SPLIT_DEFAULT = (0.7, 0.15, 0.15)
 
 # (INI section, key, train/kfold flag or None for a file-only key).  A flag
 # stores its value under the key's name; PT_SEED stands in for an unset seed.
@@ -72,6 +70,8 @@ SETTINGS = (
     ("data", "split_fractions", "--split-fractions"),
     ("data", "split_seed", "--split-seed"),
 )
+# kfold never splits, so it takes no [data] keys and no split flags.
+KFOLD_SECTIONS = ("model", "train", "loss", "noise")
 
 
 def _parse_modalities(text):
@@ -110,14 +110,15 @@ def _default_seed(value, default=0):
     return default
 
 
-def load_config_file(path):
+def load_config_file(path, sections=None):
     """Read an INI config file into {(section, key): text}, rejecting unknown
-    sections and keys."""
+    sections and keys; ``sections``, if given, are the known sections."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    known = {(section, key) for section, key, _ in SETTINGS}
+    known = {(section, key) for section, key, _ in SETTINGS
+             if sections is None or section in sections}
     out = {}
     for section in parser.sections():
         if section not in {s for s, _ in known}:
@@ -325,7 +326,7 @@ def cmd_train(args):
 
 def cmd_kfold(args):
     data_path = _require_file(args.data, "dataset")
-    file_cfg = load_config_file(args.config) if args.config else {}
+    file_cfg = load_config_file(args.config, KFOLD_SECTIONS) if args.config else {}
     ds = load_dataset(data_path)
     if not ds.records:
         raise DataError(f"{data_path}: dataset is empty")
@@ -341,6 +342,10 @@ def cmd_kfold(args):
             selection = FeatureSelection.from_json(json.load(fh))
         _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
     elif "ehr" in model_cfg.modalities:
+        configured = settings["model"].get("k_ehr")
+        if configured is not None and configured > ds.d:
+            raise ConfigError(
+                f"model.k_ehr = {configured}, but {data_path} has {ds.d} EHR features")
         X, y = patient_mean_features(ds)
         forest = train_random_forest(X, y, n_trees=args.trees, seed=train_cfg.seed,
                                      jobs=args.jobs)
@@ -490,7 +495,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("kfold", help="train a K-fold ensemble")
-    _add_train_flags(p)
+    _add_train_flags(p, KFOLD_SECTIONS)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--selection", default=None)
     p.add_argument("--trees", type=int, default=100)
@@ -508,12 +513,12 @@ def build_parser():
     return parser
 
 
-def _add_train_flags(p):
+def _add_train_flags(p, sections=None):
     """Flags shared by train and kfold."""
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="INI config file")
-    _add_setting_flags(p)
+    _add_setting_flags(p, sections)
     p.add_argument("--jobs", type=int, default=1)
 
 

@@ -24,6 +24,8 @@ from .errors import ConfigError, DataError
 
 CXR_DIM = 1024
 NOTES_DIM = 1024
+# (train, val, test) patient fractions when a caller names none.
+SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
 
 
 @dataclass
@@ -198,7 +200,7 @@ def save_dataset(ds, path):
             fh.write("\n")
 
 
-def split_by_patient(ds, fractions=(0.8, 0.1, 0.1), seed=0):
+def split_by_patient(ds, fractions=SPLIT_FRACTIONS, seed=0):
     """Split into (train, val, test) keeping every patient in exactly one split.
 
     Split sizes approximate the fractions by patient count (cumulative

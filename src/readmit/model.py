@@ -193,33 +193,25 @@ def collate(bundles, modalities, dtype=np.float64):
     return Batch(arrays=arrays, masks=masks, size=len(bundles))
 
 
-def _attention_block(h, key_bias, params, prefix, cfg, training, rng):
-    d = cfg.d_model
-    dh = d // cfg.n_heads
-    x = T.layer_norm(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    q = T.add(T.matmul(x, params[f"{prefix}.attn.wq"]), params[f"{prefix}.attn.bq"])
-    k = T.add(T.matmul(x, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"])
-    v = T.add(T.matmul(x, params[f"{prefix}.attn.wv"]), params[f"{prefix}.attn.bv"])
-    heads = []
-    for i in range(cfg.n_heads):
-        qi = T.slice_last(q, i * dh, (i + 1) * dh)
-        ki = T.slice_last(k, i * dh, (i + 1) * dh)
-        vi = T.slice_last(v, i * dh, (i + 1) * dh)
-        scores = T.scale(T.matmul(qi, T.transpose_last2(ki)), 1.0 / math.sqrt(dh))
-        scores = T.add_const(scores, key_bias)
-        heads.append(T.matmul(T.softmax(scores, axis=-1), vi))
-    att = T.concat(heads, axis=-1)
-    att = T.add(T.matmul(att, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
-    if training and cfg.dropout > 0:
-        att = T.dropout(att, cfg.dropout, rng)
-    h = T.add(h, att)
+def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
+    """One pre-norm transformer layer on the packed (N, d) rows ``h``."""
+    def p(name):
+        return params[f"{prefix}.{name}"]
 
-    x2 = T.layer_norm(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    f = T.gelu(T.add(T.matmul(x2, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
-    if training and cfg.dropout > 0:
-        f = T.dropout(f, cfg.dropout, rng)
-    f = T.add(T.matmul(f, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
-    return T.add(h, f)
+    def drop(a):
+        if not training:
+            return a
+        return T.dropout(a, cfg.dropout, rng, rows, key_bias.shape[0] * key_bias.shape[2])
+
+    x = T.layer_norm(h, p("ln1.g"), p("ln1.b"))
+    qkv = T.linear(x, T.concat([p("attn.wq"), p("attn.wk"), p("attn.wv")]),
+                   T.concat([p("attn.bq"), p("attn.bk"), p("attn.bv")]))
+    att = T.multi_head_attention(qkv, rows, key_bias, cfg.n_heads)
+    h = T.add(h, drop(T.linear(att, p("attn.wo"), p("attn.bo"))))
+
+    x2 = T.layer_norm(h, p("ln2.g"), p("ln2.b"))
+    f = drop(T.gelu(T.linear(x2, p("ffn.w1"), p("ffn.b1"))))
+    return T.add(h, T.linear(f, p("ffn.w2"), p("ffn.b2")))
 
 
 def _gru_layer(h_seq, params, prefix, batch, d, dtype):
@@ -234,8 +226,15 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     """Embed, add positional encoding, and run the modality's encoder stack.
 
     ``x`` is a (B, S, input_dim) constant Tensor or array; ``mask`` a (B, S)
-    boolean array marking valid positions.  Padded positions are excluded
-    from attention via a large negative score bias.
+    boolean array marking valid positions.  Returns (B, S, d_model).
+
+    The transformer runs on packed rows: the N valid positions of ``x`` are
+    gathered into (N, input_dim) before the embedding, so the embedding, the
+    layer norms, projections, FFN and dropout all see (N, ·) rows.  Attention
+    scatters them to the padded layout and excludes padded keys with a large
+    negative score bias.  After the final norm the rows are scattered back to
+    (B, S, d_model), whose padded positions are zero.  GRU and LSTM stacks
+    recur over the padded layout.
     """
     if isinstance(x, np.ndarray):
         x = Tensor(x)
@@ -248,23 +247,23 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     batch, steps = mask.shape
     d = cfg.d_model
     dt = cfg.np_dtype()
-
-    h = T.add(T.matmul(x, params[f"{modality}.embed.w"]), params[f"{modality}.embed.b"])
+    embed = (params[f"{modality}.embed.w"], params[f"{modality}.embed.b"])
     pe = positional_encoding(steps, d).astype(dt)
-    h = T.add_const(h, pe[None, :, :])
 
-    if cfg.encoder == "transformer":
-        key_bias = np.where(mask, 0.0, T.MASK_NEG).astype(dt)[:, None, :]
+    if cfg.encoder != "transformer":
+        h = T.add_const(T.linear(x, *embed), pe[None, :, :])
+        layer = _gru_layer if cfg.encoder == "gru" else _lstm_layer
         for l in range(cfg.layers(modality)):
-            h = _attention_block(h, key_bias, params, f"{modality}.l{l}", cfg, training, rng)
-        h = T.layer_norm(h, params[f"{modality}.norm.g"], params[f"{modality}.norm.b"])
-    elif cfg.encoder == "gru":
-        for l in range(cfg.layers(modality)):
-            h = _gru_layer(h, params, f"{modality}.l{l}", batch, d, dt)
-    else:
-        for l in range(cfg.layers(modality)):
-            h = _lstm_layer(h, params, f"{modality}.l{l}", batch, d, dt)
-    return h
+            h = layer(h, params, f"{modality}.l{l}", batch, d, dt)
+        return h
+
+    rows = np.flatnonzero(mask)
+    h = T.add_const(T.linear(T.pack_rows(x, rows), *embed), pe[rows % steps])
+    key_bias = np.where(mask, 0.0, T.MASK_NEG).astype(dt)[:, None, :]
+    for l in range(cfg.layers(modality)):
+        h = _attention_block(h, rows, key_bias, params, f"{modality}.l{l}", cfg, training, rng)
+    h = T.layer_norm(h, params[f"{modality}.norm.g"], params[f"{modality}.norm.b"])
+    return T.unpack_rows(h, rows, (batch, steps, d))
 
 
 def attention_pool(h, mask, query):
@@ -292,8 +291,8 @@ def fuse_and_predict(pooled, params):
     if got != expected:
         raise ConfigError(f"fusion expects concatenated width {expected}, got {got}")
     h = pooled[0] if len(pooled) == 1 else T.concat(pooled, axis=-1)
-    h = T.gelu(T.add(T.matmul(h, params["fusion.w1"]), params["fusion.b1"]))
-    z = T.add(T.matmul(h, params["fusion.w2"]), params["fusion.b2"])
+    h = T.gelu(T.linear(h, params["fusion.w1"], params["fusion.b1"]))
+    z = T.linear(h, params["fusion.w2"], params["fusion.b2"])
     return T.reshape(z, (z.shape[0],))
 
 

@@ -24,7 +24,12 @@ Conventions:
     (B, S, d) sequence as one graph node: the forward pass keeps every
     step's gates and states, and the hand-written backward pass runs
     through time in reverse, then forms each weight, bias and input
-    gradient with one GEMM or one sum over all steps.
+    gradient with one GEMM or one sum over all steps;
+  * the transformer's fused ops: ``linear`` is ``x @ w + b`` as one node
+    (one GEMM each for the forward and the input and weight gradients), and
+    ``multi_head_attention`` runs every head as one node with an analytic
+    backward; both work on packed rows, the valid positions of a padded
+    batch gathered by ``pack_rows`` and scattered back by ``unpack_rows``.
 """
 
 import math
@@ -541,14 +546,150 @@ def bce_with_logits(logits, targets):
     return _result(out_data, (logits,), backward)
 
 
-def dropout(a, p, rng):
-    """Inverted dropout with an explicit generator; caller skips it in eval mode."""
+def dropout(a, p, rng, rows=None, padded_rows=None):
+    """Inverted dropout with an explicit generator; caller skips it in eval mode.
+
+    When ``a`` holds the rows ``rows`` of a padded (padded_rows, width) array
+    (see ``pack_rows``), the keep mask is drawn for the padded shape and its
+    rows ``rows`` are kept, so ``rng`` advances as it would on the padded array.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    if rows is None:
+        draw = rng.random(a.shape)
+    else:
+        draw = rng.random((padded_rows, a.shape[-1]))[rows]
+    keep = (draw >= p).astype(a.data.dtype) / (1.0 - p)
     return mul_const(a, keep)
+
+
+# ---------------------------------------------------------------------------
+# fused dense and attention ops
+#
+# A transformer batch can run its position-wise steps on packed rows: the
+# valid (batch, step) positions of a padded (B, S, w) array, gathered into an
+# (N, w) array by ``pack_rows`` with ``rows`` = the flat indices of the valid
+# positions.  Only attention needs the padded layout, and scatters to it
+# inside.
+
+
+def linear(x, w, b):
+    """``x @ w + b`` as one node: one GEMM, then the bias added in place.
+
+    ``x`` is (..., k), ``w`` (k, n) and ``b`` (n,); the leading axes of ``x``
+    are flattened into the GEMM's rows.  The values equal
+    ``add(matmul(x, w), b)`` bit for bit, forward and backward.
+    """
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(
+            f"linear needs x (..., k), w (k, n) and b (n,), got {_fmt(x.shape)}, "
+            f"{_fmt(w.shape)} and {_fmt(b.shape)}"
+        )
+    k, n = w.shape
+    xf = x.data.reshape(-1, k)
+    out = xf @ w.data
+    out += b.data
+
+    def backward(g):
+        gf = g.reshape(-1, n)
+        if x.requires_grad:
+            _accumulate(x, (gf @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, xf.T @ gf)
+        if b.requires_grad:
+            _accumulate(b, gf.sum(axis=0))
+
+    return _result(out.reshape(x.shape[:-1] + (n,)), (x, w, b), backward)
+
+
+def pack_rows(a, rows):
+    """Rows ``rows`` of ``a`` (..., w) with its leading axes flattened: (N, w).
+
+    The gradient scatters back to ``a``'s shape with zero fill.
+    """
+    width = a.shape[-1]
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros((a.data.size // width, width), dtype=a.data.dtype)
+            full[rows] = g
+            _accumulate(a, full.reshape(a.shape))
+
+    return _result(a.data.reshape(-1, width)[rows], (a,), backward)
+
+
+def unpack_rows(a, rows, shape):
+    """Scatter the (N, w) rows of ``a`` to flat rows ``rows`` of a zero array
+    of ``shape`` (..., w); the inverse of ``pack_rows``."""
+    if a.data.ndim != 2 or len(rows) != a.shape[0] or shape[-1] != a.shape[1]:
+        raise ShapeError(
+            f"unpack_rows needs {len(rows)} rows of width {shape[-1]}, got {_fmt(a.shape)}"
+        )
+    out = np.zeros(shape, dtype=a.data.dtype)
+    out.reshape(-1, a.shape[1])[rows] = a.data
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g.reshape(-1, a.shape[1])[rows])
+
+    return _result(out, (a,), backward)
+
+
+def multi_head_attention(qkv, rows, key_bias, n_heads):
+    """Scaled dot-product attention of all heads as one node.
+
+    ``qkv`` holds packed q | k | v rows (N, 3d); row i sits at flat position
+    ``rows[i]`` of a padded (B, S) layout whose (B, 1, S) ``key_bias`` is
+    MASK_NEG at padded keys.  Each head's scores are q kᵀ, then scaled by
+    1/sqrt(d / n_heads), then shifted by the key bias, then softmaxed with
+    the row maximum subtracted.  Returns the heads' outputs side by side,
+    packed like the input: (N, d).
+    """
+    B, one, S = key_bias.shape
+    N, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
+    if one != 1 or len(rows) != N or width == 0 or width % (3 * n_heads):
+        raise ShapeError(
+            f"multi_head_attention needs {len(rows)} packed q|k|v rows with a width "
+            f"divisible by 3 x {n_heads} heads and a (batch, 1, steps) key bias, got "
+            f"{_fmt(qkv.shape)} and {_fmt(key_bias.shape)}"
+        )
+    d = width // 3
+    dh = d // n_heads
+    dt = qkv.data.dtype
+    scale = 1.0 / math.sqrt(dh)
+    X = np.zeros((B * S, width), dtype=dt)
+    X[rows] = qkv.data
+    Q, K, V = X.reshape(B, S, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)   # (B, H, S, dh) each
+    P = Q @ np.swapaxes(K, -1, -2)
+    P *= scale
+    P += key_bias[:, None]
+    P -= P.max(axis=-1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=-1, keepdims=True)
+    O = np.empty((B, S, n_heads, dh), dtype=dt)
+    np.matmul(P, V, out=O.transpose(0, 2, 1, 3))
+
+    def backward(g):
+        if not qkv.requires_grad:
+            return
+        gO = np.zeros((B * S, d), dtype=dt)
+        gO[rows] = g
+        gO = gO.reshape(B, S, n_heads, dh).transpose(0, 2, 1, 3)
+        dX = np.empty((B, S, 3, n_heads, dh), dtype=dt)
+        dQ, dK, dV = dX.transpose(2, 0, 3, 1, 4)
+        np.matmul(np.swapaxes(P, -1, -2), gO, out=dV)
+        dS = gO @ np.swapaxes(V, -1, -2)
+        dS -= (dS * P).sum(axis=-1, keepdims=True)
+        dS *= P
+        dS *= scale
+        np.matmul(dS, K, out=dQ)
+        np.matmul(np.swapaxes(dS, -1, -2), Q, out=dK)
+        _accumulate(qkv, dX.reshape(B * S, width)[rows])
+
+    return _result(O.reshape(B * S, d)[rows], (qkv,), backward)
 
 
 # ---------------------------------------------------------------------------

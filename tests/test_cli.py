@@ -349,6 +349,55 @@ def test_kfold_members_and_report(tmp_path, workspace):
     assert len(report["fold_val_aucs"]) == 3
     assert report["runtime_seconds"] > 0
     assert "ensemble_holdout_auc" in report
+    # k_ehr unset: the forest keeps min(100, width) = 50 columns
+    assert json.loads(members[0].read_text())["config"]["k_ehr"] == 50
+
+
+def test_kfold_configured_k_ehr_above_the_dataset_width_is_rejected(tmp_path, workspace):
+    cfg = tmp_path / "k.ini"
+    cfg.write_text("[model]\nk_ehr = 200\n")
+    out = tmp_path / "kf"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--config", cfg,
+                "--k", 2, "--epochs", 1, "--trees", 5)
+    assert r.returncode == 2
+    assert "k_ehr = 200" in r.stderr and "50 EHR features" in r.stderr
+    assert not out.exists()
+
+
+def test_kfold_configured_k_ehr_within_the_dataset_width_is_kept(tmp_path, workspace):
+    cfg = tmp_path / "k.ini"
+    cfg.write_text("[model]\nk_ehr = 20\n")
+    out = tmp_path / "kf"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--config", cfg,
+                "--k", 2, "--epochs", 1, "--trees", 5)
+    assert r.returncode == 0, r.stderr
+    assert json.loads((out / "member_00.json").read_text())["config"]["k_ehr"] == 20
+
+
+@pytest.mark.parametrize("setting", [["--split-fractions", "0.1,0.1,0.8"],
+                                     ["--split-seed", "3"], "[data]\nsplit_seed = 3\n"],
+                         ids=["split-fractions", "split-seed", "data-section"])
+def test_kfold_rejects_split_settings(tmp_path, workspace, setting):
+    if isinstance(setting, str):
+        cfg = tmp_path / "split.ini"
+        cfg.write_text(setting)
+        setting = ["--config", cfg]
+    out = tmp_path / "kf"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--k", 2,
+                "--epochs", 1, *setting)
+    assert r.returncode == 2
+    assert ("split" if "--config" not in setting else "[data]") in r.stderr
+    assert not out.exists()
+
+
+def test_split_default_is_one_constant():
+    import inspect
+
+    from readmit import data
+
+    assert cli.SPLIT_DEFAULT is data.SPLIT_FRACTIONS == (0.7, 0.15, 0.15)
+    default = inspect.signature(data.split_by_patient).parameters["fractions"].default
+    assert default is data.SPLIT_FRACTIONS
 
 
 def test_kfold_k1_rejected(tmp_path, workspace):
@@ -481,7 +530,7 @@ KFOLD_ONLY = ["--holdout", "--k", "--trees"]
 
 @pytest.mark.parametrize("sub,expected", [
     ("train", sorted(TRAIN_OPTIONS + ["--no-select"])),
-    ("kfold", sorted(TRAIN_OPTIONS + KFOLD_ONLY)),
+    ("kfold", sorted([o for o in TRAIN_OPTIONS if not o.startswith("--split-")] + KFOLD_ONLY)),
 ])
 def test_train_and_kfold_offer_exactly_the_pinned_options(sub, expected):
     r = run_cli(sub, "--help")

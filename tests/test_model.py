@@ -227,6 +227,130 @@ def test_modality_ablations_run():
 
 
 # ---------------------------------------------------------------------------
+# packed transformer encoder
+
+
+def _reference_attention_block(h, key_bias, params, prefix, cfg, training, rng):
+    """The padded per-head composition the packed encoder replaces."""
+    d = cfg.d_model
+    dh = d // cfg.n_heads
+    x = T.layer_norm(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+    q = T.add(T.matmul(x, params[f"{prefix}.attn.wq"]), params[f"{prefix}.attn.bq"])
+    k = T.add(T.matmul(x, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"])
+    v = T.add(T.matmul(x, params[f"{prefix}.attn.wv"]), params[f"{prefix}.attn.bv"])
+    heads = []
+    for i in range(cfg.n_heads):
+        qi = T.slice_last(q, i * dh, (i + 1) * dh)
+        ki = T.slice_last(k, i * dh, (i + 1) * dh)
+        vi = T.slice_last(v, i * dh, (i + 1) * dh)
+        scores = T.scale(T.matmul(qi, T.transpose_last2(ki)), 1.0 / math.sqrt(dh))
+        scores = T.add_const(scores, key_bias)
+        heads.append(T.matmul(T.softmax(scores, axis=-1), vi))
+    att = T.concat(heads, axis=-1)
+    att = T.add(T.matmul(att, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    if training and cfg.dropout > 0:
+        att = T.dropout(att, cfg.dropout, rng)
+    h = T.add(h, att)
+
+    x2 = T.layer_norm(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    f = T.gelu(T.add(T.matmul(x2, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
+    if training and cfg.dropout > 0:
+        f = T.dropout(f, cfg.dropout, rng)
+    f = T.add(T.matmul(f, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
+    return T.add(h, f)
+
+
+def _reference_encode(x, mask, params, modality, cfg, training, rng):
+    """The padded transformer encoder the packed one replaces."""
+    steps = mask.shape[1]
+    dt = cfg.np_dtype()
+    h = T.add(T.matmul(x, params[f"{modality}.embed.w"]), params[f"{modality}.embed.b"])
+    h = T.add_const(h, positional_encoding(steps, cfg.d_model).astype(dt)[None, :, :])
+    key_bias = np.where(mask, 0.0, T.MASK_NEG).astype(dt)[:, None, :]
+    for l in range(cfg.layers(modality)):
+        h = _reference_attention_block(h, key_bias, params, f"{modality}.l{l}", cfg,
+                                       training, rng)
+    return T.layer_norm(h, params[f"{modality}.norm.g"], params[f"{modality}.norm.b"])
+
+
+def _ragged_ehr_notes_batch(dtype, seed=12):
+    from readmit.features import FeatureBundle
+
+    rng = np.random.default_rng(seed)
+    ehr_lengths, notes_lengths = [7, 2, 5, 1, 3], [1, 4, 2, 3, 1]
+    bundles = [FeatureBundle(ehr=rng.normal(size=(e, 3)),
+                             notes=rng.normal(size=(n, 1024)) * (rng.random((n, 1024)) < 0.05))
+               for e, n in zip(ehr_lengths, notes_lengths)]
+    return collate(bundles, ("ehr", "notes"), dtype=dtype)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_packed_encoder_matches_padded_per_head_reference(dtype, dropout):
+    cfg = tiny_config(d_model=6, n_heads=3, ehr_layers=2, notes_layers=1, d_ff=8,
+                      dropout=dropout, modalities=("ehr", "notes"), dtype=dtype, seed=4)
+    batch = _ragged_ehr_notes_batch(cfg.np_dtype())
+    labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+
+    def run(encode):
+        model = ReadmissionModel(cfg)
+        rng = np.random.default_rng(5)
+        pooled = []
+        for mod in cfg.modalities:
+            h = encode(Tensor(batch.arrays[mod]), batch.masks[mod], model.params, mod, cfg,
+                       True, rng)
+            pooled.append(attention_pool(h, batch.masks[mod], model.params[f"{mod}.pool.q"]))
+        logits = fuse_and_predict(pooled, model.params)
+        focal_loss(logits, labels, LossConfig()).backward()
+        return logits.data, {name: p.grad for name, p in model.params.items()}
+
+    logits, grads = run(encode_modality)
+    ref_logits, ref_grads = run(_reference_encode)
+    dt = cfg.np_dtype()
+    rtol, gtol = (1e-12, 1e-12) if dtype == "float64" else (1e-5, 1e-5)
+    assert logits.dtype == dt
+    np.testing.assert_allclose(logits, ref_logits, rtol=rtol)
+    assert set(grads) == set(ref_grads) == set(param_spec(cfg))
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in grads.items():
+        assert g.dtype == dt, name
+        assert np.abs(g - ref_grads[name]).max() <= gtol * largest, name
+
+
+def test_transformer_linear_ops_see_only_valid_rows(monkeypatch):
+    cfg = tiny_config(d_model=6, n_heads=3, ehr_layers=2, notes_layers=1, d_ff=8,
+                      modalities=("ehr", "notes"))
+    batch = _ragged_ehr_notes_batch(np.float64)
+    params = build_parameters(cfg)
+    seen = []
+    linear = T.linear
+
+    def spy(x, w, b):
+        seen.append(x.shape[0])
+        return linear(x, w, b)
+
+    monkeypatch.setattr(T, "linear", spy)
+    for mod, n_linear in (("ehr", 1 + 2 * 4), ("notes", 1 + 1 * 4)):
+        seen.clear()
+        mask = batch.masks[mod]
+        out = encode_modality(batch.arrays[mod], mask, params, mod, cfg)
+        assert seen == [mask.sum()] * n_linear
+        assert out.shape == mask.shape + (6,) and (out.data[~mask] == 0).all()
+
+
+def test_transformer_training_graph_does_not_grow_with_heads():
+    bundles = ehr_bundles(3, lengths=[4, 2, 1])
+    counts = []
+    for heads in (1, 6):
+        model = ReadmissionModel(tiny_config(d_model=6, n_heads=heads, ehr_layers=2))
+        loss = focal_loss(model.forward_batch(collate(bundles, ("ehr",)), training=True,
+                                              rng=np.random.default_rng(0)),
+                          np.array([1.0, 0.0, 1.0]), LossConfig())
+        counts.append(_graph_nodes(loss))
+    assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
 # parameter counting
 
 

@@ -467,3 +467,129 @@ def test_recurrent_op_rejects_mismatched_shapes(kind):
         op(*[Tensor(v) for v in values])
     with pytest.raises(ShapeError, match="input"):
         op(*[Tensor(v) for v in [values[0][0]] + recurrent_operands(kind)[1:]])
+
+
+# ---------------------------------------------------------------------------
+# fused dense and attention ops, row packing
+
+def ragged_rows(lengths, steps):
+    """Flat (batch * steps) indices of the valid positions and the key bias
+    of a batch whose sequence i has ``lengths[i]`` valid steps."""
+    mask = np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
+    key_bias = np.where(mask, 0.0, T.MASK_NEG)[:, None, :]
+    return np.flatnonzero(mask), key_bias
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["x", "w", "b"])
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_linear_gradient(x_shape, index):
+    rng = np.random.default_rng(20)
+    values = [rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)]
+    weights = rng.normal(size=x_shape[:-1] + (3,))
+
+    def fn(t):
+        operands = [Tensor(v) for v in values]
+        operands[index] = t
+        return T.mul_const(T.linear(*operands), weights).sum()
+
+    assert grad_check(fn, leaf(values[index])) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("x_shape", [(7, 5), (3, 4, 5)], ids=["2d", "3d"])
+def test_linear_equals_matmul_plus_bias_bit_for_bit(x_shape, dtype):
+    rng = np.random.default_rng(21)
+    values = [rng.normal(size=x_shape).astype(dtype), rng.normal(size=(5, 6)).astype(dtype),
+              rng.normal(size=6).astype(dtype)]
+    weights = rng.normal(size=x_shape[:-1] + (6,)).astype(dtype)
+
+    def run(fn):
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in values)
+        out = fn(x, w, b)
+        T.mul_const(out, weights).sum().backward()
+        return [out.data, x.grad, w.grad, b.grad]
+
+    fused = run(T.linear)
+    composed = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+    for got, want in zip(fused, composed):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_linear_rejects_mismatched_shapes():
+    x, w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+    for args in ((x, Tensor(np.zeros((2, 4))), b), (x, w, Tensor(np.zeros(3))),
+                 (Tensor(np.zeros(3)), w, b)):
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(*args)
+
+
+def test_pack_and_unpack_rows_roundtrip_and_gradients():
+    rng = np.random.default_rng(22)
+    rows, _ = ragged_rows([3, 1, 2], 3)
+    padded = rng.normal(size=(3, 3, 2))
+    packed = T.pack_rows(Tensor(padded), rows)
+    np.testing.assert_array_equal(packed.data, padded.reshape(9, 2)[rows])
+    back = T.unpack_rows(packed, rows, (3, 3, 2)).data
+    valid = np.isin(np.arange(9), rows).reshape(3, 3)
+    np.testing.assert_array_equal(back[valid], padded[valid])
+    assert (back[~valid] == 0).all()
+
+    w_packed = rng.normal(size=(len(rows), 2))
+    w_padded = rng.normal(size=(3, 3, 2))
+    assert grad_check(lambda t: T.mul_const(T.pack_rows(t, rows), w_packed).sum(),
+                      leaf(padded)) < 1e-4
+    assert grad_check(lambda t: T.mul_const(T.unpack_rows(t, rows, (3, 3, 2)),
+                                            w_padded).sum(),
+                      leaf(packed.data)) < 1e-4
+    with pytest.raises(ShapeError, match="unpack_rows"):
+        T.unpack_rows(packed, rows[:-1], (3, 3, 2))
+
+
+@pytest.mark.parametrize("n_heads", [1, 3])
+def test_multi_head_attention_gradient(n_heads):
+    rng = np.random.default_rng(23)
+    rows, key_bias = ragged_rows([4, 1, 3], 4)
+    qkv = rng.normal(size=(len(rows), 3 * 6))
+    weights = rng.normal(size=(len(rows), 6))
+
+    def fn(t):
+        return T.mul_const(T.multi_head_attention(t, rows, key_bias, n_heads), weights).sum()
+
+    assert grad_check(fn, leaf(qkv)) < 1e-4
+
+
+def test_multi_head_attention_matches_per_head_softmax():
+    rng = np.random.default_rng(24)
+    lengths, steps, heads, dh = [3, 1, 2], 3, 2, 2
+    rows, key_bias = ragged_rows(lengths, steps)
+    qkv = rng.normal(size=(len(rows), 3 * heads * dh))
+    out = T.multi_head_attention(Tensor(qkv), rows, key_bias, heads).data
+    at = 0
+    for length in lengths:
+        q, k, v = (qkv[at:at + length, i * heads * dh:(i + 1) * heads * dh] for i in range(3))
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(out[at:at + length, cols], p @ v[:, cols], rtol=1e-12)
+        at += length
+
+
+def test_multi_head_attention_rejects_mismatched_shapes():
+    rows, key_bias = ragged_rows([2, 1], 2)
+    with pytest.raises(ShapeError, match="multi_head_attention"):
+        T.multi_head_attention(Tensor(np.zeros((3, 8))), rows, key_bias, 2)
+    with pytest.raises(ShapeError, match="multi_head_attention"):
+        T.multi_head_attention(Tensor(np.zeros((2, 12))), rows, key_bias, 2)
+
+
+def test_dropout_on_packed_rows_keeps_the_padded_random_stream():
+    rows, _ = ragged_rows([3, 1, 2], 3)
+    padded = Tensor(np.random.default_rng(25).normal(size=(3, 3, 4)))
+    rng_a, rng_b = np.random.default_rng(26), np.random.default_rng(26)
+    full = T.dropout(padded, 0.3, rng_a).data.reshape(9, 4)[rows]
+    packed = T.dropout(T.pack_rows(padded, rows), 0.3, rng_b, rows, 9).data
+    np.testing.assert_array_equal(packed, full)
+    assert rng_a.random() == rng_b.random()
