@@ -198,27 +198,27 @@ def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    def drop(a):
-        if not training:
-            return a
-        return T.dropout(a, cfg.dropout, rng, rows, key_bias.shape[0] * key_bias.shape[2])
+    # dropout arguments for the packed rows: rate, generator, rows, padded rows
+    drop = (cfg.dropout, rng, rows, key_bias.shape[0] * key_bias.shape[2]) if training else ()
 
     x = T.layer_norm(h, p("ln1.g"), p("ln1.b"))
     qkv = T.linear(x, T.concat([p("attn.wq"), p("attn.wk"), p("attn.wv")]),
                    T.concat([p("attn.bq"), p("attn.bk"), p("attn.bv")]))
     att = T.multi_head_attention(qkv, rows, key_bias, cfg.n_heads)
-    h = T.add(h, drop(T.linear(att, p("attn.wo"), p("attn.bo"))))
+    h = T.residual_linear(h, att, p("attn.wo"), p("attn.bo"), *drop)
 
     x2 = T.layer_norm(h, p("ln2.g"), p("ln2.b"))
-    f = drop(T.gelu(T.linear(x2, p("ffn.w1"), p("ffn.b1"))))
-    return T.add(h, T.linear(f, p("ffn.w2"), p("ffn.b2")))
+    f = T.gelu(T.linear(x2, p("ffn.w1"), p("ffn.b1")))
+    if training:
+        f = T.dropout(f, *drop)
+    return T.residual_linear(h, f, p("ffn.w2"), p("ffn.b2"))
 
 
-def _gru_layer(h_seq, params, prefix, batch, d, dtype):
+def _gru_layer(h_seq, params, prefix):
     return T.gru(h_seq, *(params[f"{prefix}.{kind}{gate}"] for kind in "wub" for gate in "rzn"))
 
 
-def _lstm_layer(h_seq, params, prefix, batch, d, dtype):
+def _lstm_layer(h_seq, params, prefix):
     return T.lstm(h_seq, *(params[f"{prefix}.{kind}{gate}"] for kind in "wub" for gate in "ifgo"))
 
 
@@ -254,7 +254,7 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
         h = T.add_const(T.linear(x, *embed), pe[None, :, :])
         layer = _gru_layer if cfg.encoder == "gru" else _lstm_layer
         for l in range(cfg.layers(modality)):
-            h = layer(h, params, f"{modality}.l{l}", batch, d, dt)
+            h = layer(h, params, f"{modality}.l{l}")
         return h
 
     rows = np.flatnonzero(mask)

@@ -17,6 +17,12 @@ Conventions:
     closure has run, so calling it twice on one graph adds exactly twice
     the gradient into leaf ``grad`` buffers, which keep accumulating
     until ``zero_grad()`` is called;
+  * a node keeps only what its backward pass reads: ``dropout`` keeps a
+    one-byte keep mask and rebuilds the 0 or 1/(1-p) multiplier where it
+    multiplies; ``residual_linear`` (``h + dropout(x @ w + b)``) keeps ``x``
+    and the mask but neither the linear nor the dropout output; and
+    ``multi_head_attention`` keeps its packed q|k|v parent and the softmax
+    weights, and rebuilds the zero-padded q|k|v array in its backward;
   * broadcasting is deliberately restricted: learnable operands broadcast
     only as 1-D bias vectors over rows; arbitrary broadcasting is allowed
     only for non-learnable constants (``add_const`` / ``mul_const``);
@@ -26,9 +32,10 @@ Conventions:
     through time in reverse, then forms each weight, bias and input
     gradient with one GEMM or one sum over all steps;
   * the transformer's fused ops: ``linear`` is ``x @ w + b`` as one node
-    (one GEMM each for the forward and the input and weight gradients), and
+    (one GEMM each for the forward and the input and weight gradients),
+    ``residual_linear`` is ``h + dropout(x @ w + b)`` as one node, and
     ``multi_head_attention`` runs every head as one node with an analytic
-    backward; both work on packed rows, the valid positions of a padded
+    backward; all work on packed rows, the valid positions of a padded
     batch gathered by ``pack_rows`` and scattered back by ``unpack_rows``.
 """
 
@@ -546,23 +553,42 @@ def bce_with_logits(logits, targets):
     return _result(out_data, (logits,), backward)
 
 
+def _keep_mask(shape, p, rng, rows=None, padded_rows=None):
+    """Boolean keep mask of ``shape``, True where a uniform draw is >= p; the
+    draw for packed rows is the one ``dropout`` describes."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    if rows is None:
+        draw = rng.random(shape)
+    else:
+        draw = rng.random((padded_rows, shape[-1]))[rows]
+    return draw >= p
+
+
+def _keep_scale(keep, p, dtype):
+    """The inverted-dropout multiplier of a boolean keep mask: 0 or 1/(1-p)."""
+    return keep.astype(dtype) / (1.0 - p)
+
+
 def dropout(a, p, rng, rows=None, padded_rows=None):
     """Inverted dropout with an explicit generator; caller skips it in eval mode.
 
     When ``a`` holds the rows ``rows`` of a padded (padded_rows, width) array
     (see ``pack_rows``), the keep mask is drawn for the padded shape and its
     rows ``rows`` are kept, so ``rng`` advances as it would on the padded array.
+    The node keeps only the boolean mask and rebuilds the multiplier where it
+    multiplies.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    if rows is None:
-        draw = rng.random(a.shape)
-    else:
-        draw = rng.random((padded_rows, a.shape[-1]))[rows]
-    keep = (draw >= p).astype(a.data.dtype) / (1.0 - p)
-    return mul_const(a, keep)
+    keep = _keep_mask(a.shape, p, rng, rows, padded_rows)
+    dt = a.data.dtype
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g * _keep_scale(keep, p, dt))
+
+    return _result(a.data * _keep_scale(keep, p, dt), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +601,26 @@ def dropout(a, p, rng, rows=None, padded_rows=None):
 # inside.
 
 
+def _check_linear(op, x, w, b):
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(
+            f"{op} needs x (..., k), w (k, n) and b (n,), got {_fmt(x.shape)}, "
+            f"{_fmt(w.shape)} and {_fmt(b.shape)}"
+        )
+
+
+def _linear_grads(x, xf, w, b, gf):
+    """Input, weight and bias gradients of ``xf @ w + b`` from the (M, n)
+    output gradient ``gf``; ``xf`` is ``x`` with its leading axes flattened."""
+    if x.requires_grad:
+        _accumulate(x, (gf @ w.data.T).reshape(x.shape))
+    if w.requires_grad:
+        _accumulate(w, xf.T @ gf)
+    if b.requires_grad:
+        _accumulate(b, gf.sum(axis=0))
+
+
 def linear(x, w, b):
     """``x @ w + b`` as one node: one GEMM, then the bias added in place.
 
@@ -582,27 +628,53 @@ def linear(x, w, b):
     are flattened into the GEMM's rows.  The values equal
     ``add(matmul(x, w), b)`` bit for bit, forward and backward.
     """
-    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeError(
-            f"linear needs x (..., k), w (k, n) and b (n,), got {_fmt(x.shape)}, "
-            f"{_fmt(w.shape)} and {_fmt(b.shape)}"
-        )
+    _check_linear("linear", x, w, b)
     k, n = w.shape
     xf = x.data.reshape(-1, k)
     out = xf @ w.data
     out += b.data
 
     def backward(g):
-        gf = g.reshape(-1, n)
-        if x.requires_grad:
-            _accumulate(x, (gf @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            _accumulate(w, xf.T @ gf)
-        if b.requires_grad:
-            _accumulate(b, gf.sum(axis=0))
+        _linear_grads(x, xf, w, b, g.reshape(-1, n))
 
     return _result(out.reshape(x.shape[:-1] + (n,)), (x, w, b), backward)
+
+
+def residual_linear(h, x, w, b, p=0.0, rng=None, rows=None, padded_rows=None):
+    """``h + dropout(x @ w + b)`` as one node; ``p == 0`` means no dropout.
+
+    The dropout arguments are those of ``dropout``.  The node's parents are
+    (h, x, w, b), so it keeps neither the linear nor the dropout output, only
+    ``x`` and the boolean keep mask.  The values and the random draws equal
+    ``add(h, dropout(linear(x, w, b), p, rng, rows, padded_rows))`` bit for
+    bit, forward and backward.
+    """
+    _check_linear("residual_linear", x, w, b)
+    k, n = w.shape
+    if h.shape != x.shape[:-1] + (n,):
+        raise ShapeError(
+            f"residual_linear adds {_fmt(x.shape[:-1] + (n,))} onto a residual of "
+            f"shape {_fmt(h.shape)}"
+        )
+    xf = x.data.reshape(-1, k)
+    out = xf @ w.data
+    out += b.data
+    dt = out.dtype
+    keep = None
+    if p != 0.0:
+        keep = _keep_mask(h.shape, p, rng, rows, padded_rows).reshape(-1, n)
+        out *= _keep_scale(keep, p, dt)
+    out += h.data.reshape(-1, n)
+
+    def backward(g):
+        if h.requires_grad:
+            _accumulate(h, g, alias=True)
+        gf = g.reshape(-1, n)
+        if keep is not None:
+            gf = gf * _keep_scale(keep, p, dt)
+        _linear_grads(x, xf, w, b, gf)
+
+    return _result(out.reshape(h.shape), (h, x, w, b), backward)
 
 
 def pack_rows(a, rows):
@@ -660,9 +732,14 @@ def multi_head_attention(qkv, rows, key_bias, n_heads):
     dh = d // n_heads
     dt = qkv.data.dtype
     scale = 1.0 / math.sqrt(dh)
-    X = np.zeros((B * S, width), dtype=dt)
-    X[rows] = qkv.data
-    Q, K, V = X.reshape(B, S, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)   # (B, H, S, dh) each
+
+    def padded_heads():
+        """Q, K and V as (B, H, S, dh) views of one zero-padded (B·S, 3d) array."""
+        X = np.zeros((B * S, width), dtype=dt)
+        X[rows] = qkv.data
+        return X.reshape(B, S, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+
+    Q, K, V = padded_heads()
     P = Q @ np.swapaxes(K, -1, -2)
     P *= scale
     P += key_bias[:, None]
@@ -675,6 +752,7 @@ def multi_head_attention(qkv, rows, key_bias, n_heads):
     def backward(g):
         if not qkv.requires_grad:
             return
+        Q, K, V = padded_heads()        # rebuilt: the node keeps only qkv and P
         gO = np.zeros((B * S, d), dtype=dt)
         gO[rows] = g
         gO = gO.reshape(B, S, n_heads, dh).transpose(0, 2, 1, 3)

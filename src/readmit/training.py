@@ -276,6 +276,23 @@ def predict_proba(model, bundles, batch_size=256):
     return T._sigmoid_np(predict_logits(model, bundles, batch_size))
 
 
+def _train_step(model, opt, batch, labels, cfg, lr, rng):
+    """Forward, focal loss, backward, clipping and an AdamW step on one batch.
+
+    Returns the loss; a non-finite loss is returned before any gradient is
+    taken.  The step's graph is local, so it is freed on return and never
+    lives beside the next step's.
+    """
+    loss = focal_loss(model.forward_batch(batch, training=True, rng=rng), labels, cfg.loss)
+    loss_val = float(loss.data)
+    if np.isfinite(loss_val):
+        model.zero_grad()
+        loss.backward()
+        clip_gradients(model.params, cfg.grad_clip)
+        opt.step(lr=lr)
+    return loss_val
+
+
 def train(model, train_bundles, train_labels, val_bundles, val_labels, cfg):
     """Run the full training loop; returns the best-validation-AUC snapshot.
 
@@ -309,18 +326,12 @@ def train(model, train_bundles, train_labels, val_bundles, val_labels, cfg):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             bundles = _noisy_batch([train_bundles[i] for i in idx], modalities, ratio, rng)
-            batch = collate(bundles, modalities, dtype=dt)
-            logits = model.forward_batch(batch, training=True, rng=rng)
-            loss = focal_loss(logits, train_labels[idx], cfg.loss)
-            loss_val = float(loss.data)
+            loss_val = _train_step(model, opt, collate(bundles, modalities, dtype=dt),
+                                   train_labels[idx], cfg, lr, rng)
             if not np.isfinite(loss_val):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {lo // cfg.batch_size}"
                 )
-            model.zero_grad()
-            loss.backward()
-            clip_gradients(model.params, cfg.grad_clip)
-            opt.step(lr=lr)
             epoch_loss += loss_val * len(idx)
 
         if single_class_val:

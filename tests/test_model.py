@@ -323,13 +323,19 @@ def test_transformer_linear_ops_see_only_valid_rows(monkeypatch):
     batch = _ragged_ehr_notes_batch(np.float64)
     params = build_parameters(cfg)
     seen = []
-    linear = T.linear
+    linear, residual_linear = T.linear, T.residual_linear
 
     def spy(x, w, b):
         seen.append(x.shape[0])
         return linear(x, w, b)
 
+    def residual_spy(h, x, w, b, *drop):
+        seen.append(x.shape[0])
+        return residual_linear(h, x, w, b, *drop)
+
     monkeypatch.setattr(T, "linear", spy)
+    monkeypatch.setattr(T, "residual_linear", residual_spy)
+    # per layer: q|k|v and ffn.w1 through linear, attn.wo and ffn.w2 through residual_linear
     for mod, n_linear in (("ehr", 1 + 2 * 4), ("notes", 1 + 1 * 4)):
         seen.clear()
         mask = batch.masks[mod]
@@ -348,6 +354,22 @@ def test_transformer_training_graph_does_not_grow_with_heads():
                           np.array([1.0, 0.0, 1.0]), LossConfig())
         counts.append(_graph_nodes(loss))
     assert counts[0] == counts[1]
+
+
+def test_training_graph_backward_twice_adds_exactly_twice():
+    """The fused dropout, residual and attention nodes rebuild what they do
+    not keep on every backward pass, so a second pass adds the same bits."""
+    cfg = tiny_config(d_model=6, n_heads=3, ehr_layers=2, notes_layers=1, d_ff=8,
+                      dropout=0.3, modalities=("ehr", "notes"))
+    model = ReadmissionModel(cfg)
+    loss = focal_loss(model.forward_batch(_ragged_ehr_notes_batch(np.float64), training=True,
+                                          rng=np.random.default_rng(6)),
+                      np.array([1.0, 0.0, 0.0, 1.0, 0.0]), LossConfig())
+    loss.backward()
+    once = {name: p.grad.copy() for name, p in model.params.items()}
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.grad.tobytes() == (2 * once[name]).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +419,7 @@ def test_gru_zero_input_zero_params_gives_zero_states():
     for name, p in params.items():
         if ".l0." in name:
             p.data[...] = 0.0
-    h = _gru_layer(Tensor(np.zeros((1, 3, 4))), params, "ehr.l0", 1, 4, np.float64)
+    h = _gru_layer(Tensor(np.zeros((1, 3, 4))), params, "ehr.l0")
     np.testing.assert_array_equal(h.data, np.zeros((1, 3, 4)))
 
 
@@ -406,7 +428,7 @@ def test_lstm_single_step_hand_evaluation():
     params = build_parameters(cfg)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(1, 1, 4))
-    h = _lstm_layer(Tensor(x), params, "ehr.l0", 1, 4, np.float64)
+    h = _lstm_layer(Tensor(x), params, "ehr.l0")
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -427,7 +449,7 @@ def test_gru_gradient_three_steps():
     x = Tensor(np.random.default_rng(8).normal(size=(1, 3, 4)))
 
     def fn(t):
-        h = _gru_layer(t, params, "ehr.l0", 1, 4, np.float64)
+        h = _gru_layer(t, params, "ehr.l0")
         return T.mul(h, h).mean()
 
     assert grad_check(fn, x) < 1e-4
@@ -491,12 +513,14 @@ def test_fused_recurrent_layer_matches_per_step_reference(kind, steps, dtype):
     def run(fn):
         params = {name: Tensor(v.copy(), requires_grad=True) for name, v in layer.items()}
         inp = Tensor(x.copy(), requires_grad=True)
-        h = fn(inp, params, "ehr.l0", 3, 4, dt)
+        h = fn(inp, params)
         T.mul_const(h, weights).sum().backward()
         return h.data, inp.grad, {name: p.grad for name, p in params.items()}
 
-    fused = run(_gru_layer if kind == "gru" else _lstm_layer)
-    ref = run(_reference_gru if kind == "gru" else _reference_lstm)
+    fused_layer = _gru_layer if kind == "gru" else _lstm_layer
+    ref_layer = _reference_gru if kind == "gru" else _reference_lstm
+    fused = run(lambda inp, params: fused_layer(inp, params, "ehr.l0"))
+    ref = run(lambda inp, params: ref_layer(inp, params, "ehr.l0", 3, 4, dt))
     tol = dict(rtol=1e-10, atol=1e-12) if dtype == "float64" else dict(rtol=1e-4, atol=1e-5)
     assert fused[0].dtype == dt and fused[1].dtype == dt
     np.testing.assert_allclose(fused[0], ref[0], **tol)

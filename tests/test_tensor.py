@@ -593,3 +593,148 @@ def test_dropout_on_packed_rows_keeps_the_padded_random_stream():
     packed = T.dropout(T.pack_rows(padded, rows), 0.3, rng_b, rows, 9).data
     np.testing.assert_array_equal(packed, full)
     assert rng_a.random() == rng_b.random()
+
+
+# ---------------------------------------------------------------------------
+# what a node keeps: boolean dropout masks, the fused residual, attention
+
+def _float_mask_dropout(a, p, rng, rows=None, padded_rows=None):
+    """Dropout as a multiply by a stored float keep array: the composition
+    the boolean-mask ``T.dropout`` replaces."""
+    if rows is None:
+        draw = rng.random(a.shape)
+    else:
+        draw = rng.random((padded_rows, a.shape[-1]))[rows]
+    return T.mul_const(a, (draw >= p).astype(a.data.dtype) / (1.0 - p))
+
+
+def _closure_arrays(fn):
+    """Every array a backward closure can reach through its cells, nested
+    functions' cells included, together with each array's ``base`` chain."""
+    found, stack = [], [fn]
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            value = cell.cell_contents
+            if callable(value) and hasattr(value, "__closure__"):
+                stack.append(value)
+            while isinstance(value, np.ndarray):
+                found.append(value)
+                value = value.base
+    return found
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["padded", "packed"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bool_mask_dropout_matches_float_mask_dropout(dtype, packed):
+    rows, _ = ragged_rows([3, 1, 2], 3)
+    rows, padded_rows = (rows, 9) if packed else (None, None)
+    values = np.random.default_rng(27).normal(size=(6 if packed else 9, 4)).astype(dtype)
+    weights = np.random.default_rng(28).normal(size=values.shape).astype(dtype)
+
+    def run(op):
+        rng = np.random.default_rng(29)
+        a = Tensor(values.copy(), requires_grad=True)
+        out = op(a, 0.3, rng, rows, padded_rows)
+        T.mul_const(out, weights).sum().backward()
+        return out, a.grad, rng.bit_generator.state
+
+    out, grad, state = run(T.dropout)
+    ref_out, ref_grad, ref_state = run(_float_mask_dropout)
+    assert out.dtype == grad.dtype == dtype
+    assert out.data.tobytes() == ref_out.data.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert state == ref_state
+    kept = _closure_arrays(out._backward)
+    assert kept and all(arr.dtype == bool for arr in kept)
+
+
+RESIDUAL_DROP = {"no_dropout": (), "dropout": (0.3,), "dropout_packed": (0.3, "rows")}
+
+
+def _residual_operands(dtype=np.float64):
+    """h (N, 3), x (N, 4), w (4, 3) and b (3,) for N packed rows of a padded
+    (9, ·) layout."""
+    rows, _ = ragged_rows([3, 1, 2], 3)
+    rng = np.random.default_rng(30)
+    n = len(rows)
+    values = [rng.normal(size=(n, 3)), rng.normal(size=(n, 4)), rng.normal(size=(4, 3)),
+              rng.normal(size=3)]
+    return [v.astype(dtype) for v in values], rows, rng.normal(size=(n, 3)).astype(dtype)
+
+
+def _drop_args(drop, rows):
+    """``dropout``'s trailing arguments for one RESIDUAL_DROP case, with a
+    fresh generator so every call draws the same mask."""
+    if not drop:
+        return ()
+    rng = np.random.default_rng(31)
+    return (drop[0], rng) + ((rows, 9) if len(drop) > 1 else ())
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3], ids=["h", "x", "w", "b"])
+@pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
+def test_residual_linear_gradient(drop, index):
+    values, rows, weights = _residual_operands()
+
+    def fn(t):
+        operands = [Tensor(v) for v in values]
+        operands[index] = t
+        return T.mul_const(T.residual_linear(*operands, *_drop_args(drop, rows)), weights).sum()
+
+    assert grad_check(fn, leaf(values[index])) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
+def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
+    values, rows, weights = _residual_operands(dtype)
+
+    def composed(h, x, w, b, *args):
+        y = T.linear(x, w, b)
+        return T.add(h, T.dropout(y, *args) if args else y)
+
+    def run(op):
+        operands = [Tensor(v.copy(), requires_grad=True) for v in values]
+        args = _drop_args(drop, rows)
+        out = op(*operands, *args)
+        T.mul_const(out, weights).sum().backward()
+        state = args[1].bit_generator.state if args else None
+        return [out.data] + [t.grad for t in operands], state
+
+    fused, fused_state = run(T.residual_linear)
+    ref, ref_state = run(composed)
+    assert fused_state == ref_state
+    for got, want in zip(fused, ref):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_residual_linear_keeps_neither_linear_nor_dropout_output():
+    values, rows, _ = _residual_operands()
+    h, x, w, b = (Tensor(v, requires_grad=True) for v in values)
+    out = T.residual_linear(h, x, w, b, 0.3, np.random.default_rng(31), rows, 9)
+    assert out._parents == (h, x, w, b)
+    kept = [arr for arr in _closure_arrays(out._backward) if arr.dtype != bool]
+    assert all(np.shares_memory(arr, x.data) or np.shares_memory(arr, w.data)
+               or np.shares_memory(arr, b.data) for arr in kept)
+
+
+def test_residual_linear_rejects_mismatched_shapes():
+    h, x = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3)))
+    w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match="residual_linear"):
+        T.residual_linear(Tensor(np.zeros((3, 4))), x, w, b)
+    with pytest.raises(ShapeError, match="residual_linear"):
+        T.residual_linear(h, x, Tensor(np.zeros((2, 4))), b)
+    with pytest.raises(ValueError, match="dropout rate"):
+        T.residual_linear(h, x, w, b, 1.0, np.random.default_rng(0))
+
+
+def test_multi_head_attention_keeps_no_padded_qkv():
+    batch, steps, d = 3, 5, 6
+    rows, key_bias = ragged_rows([5, 2, 4], steps)
+    qkv = leaf(np.random.default_rng(32).normal(size=(len(rows), 3 * d)))
+    out = T.multi_head_attention(qkv, rows, key_bias, 2)
+    padded_size = batch * steps * 3 * d
+    sizes = [arr.size for arr in _closure_arrays(out._backward)]
+    assert sizes and padded_size not in sizes

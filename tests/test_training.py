@@ -2,6 +2,8 @@
 
 import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -304,6 +306,62 @@ def test_predict_logits_builds_no_graph(monkeypatch):
     assert predict_logits(model, bundles).tobytes() == expected.tobytes()
     assert [out._parents for out in outputs] == [()]
     assert all(p.requires_grad for p in model.params.values())
+
+
+def test_training_holds_one_step_graph_at_a_time(monkeypatch):
+    """No training output, and so no graph, outlives its step: each is dead
+    by the next forward pass, training or validation, by reference counting
+    alone."""
+    bundles, labels, cfg = tiny_setup(n=16)
+    outputs = []            # weak references to the data of training outputs
+    calls = []
+    forward_batch = ReadmissionModel.forward_batch
+
+    def watching_forward(self, batch, training=False, rng=None):
+        alive = [i for i, ref in enumerate(outputs) if ref() is not None]
+        assert not alive, f"training outputs {alive} alive at forward call {len(calls)}"
+        calls.append(training)
+        out = forward_batch(self, batch, training, rng)
+        if training:
+            outputs.append(weakref.ref(out.data))   # dies with its Tensor
+        return out
+
+    monkeypatch.setattr(ReadmissionModel, "forward_batch", watching_forward)
+    gc.collect()
+    gc.disable()
+    try:
+        train(ReadmissionModel(cfg), bundles, labels, bundles, labels,
+              quick_train_cfg(epochs=2, batch_size=4))
+    finally:
+        gc.enable()
+    assert calls == ([True] * 4 + [False]) * 2
+
+
+# Bytes one training step's graph holds after forward and loss at the config
+# of test_training_step_graph_bytes_stay_under_bound: ~2.59 MB when dropout
+# kept float64 multipliers, attention a zero-padded q|k|v copy and the
+# residual projections their linear and dropout outputs; ~1.91 MB now.
+STEP_GRAPH_BYTES_BOUND = 2_250_000
+
+
+def test_training_step_graph_bytes_stay_under_bound():
+    rng = np.random.default_rng(5)
+    bundles = [FeatureBundle(ehr=rng.normal(size=(days, 8)), notes=rng.normal(size=(notes, 1024)))
+               for days, notes in zip([12, 3, 9, 1, 7, 12, 5, 2], [4, 1, 6, 2, 3, 6, 1, 5])]
+    cfg = ModelConfig(d_model=48, n_heads=3, ehr_layers=2, notes_layers=2, d_ff=96,
+                      dropout=0.1, k_ehr=8, modalities=("ehr", "notes"))
+    model = ReadmissionModel(cfg)
+    batch = collate(bundles, cfg.modalities)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = focal_loss(model.forward_batch(batch, training=True, rng=np.random.default_rng(0)),
+                          np.array([1, 0] * 4), LossConfig())
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.data)
+    assert held < STEP_GRAPH_BYTES_BOUND, held
 
 
 def test_memorization_capacity():
