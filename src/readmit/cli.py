@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,7 @@ from .features import (FeatureSelection, feature_importances, fit_tfidf,
 from .model import (DTYPES, ENCODERS, MODALITY_ORDER, ModelConfig,
                     ReadmissionModel, load_model, save_model)
 from .training import (NOISE_KINDS, Ensemble, LossConfig, NoiseSchedule,
-                       TrainConfig, kfold_train, predict_proba, train,
-                       write_history_csv)
+                       TrainConfig, kfold_train, train, write_history_csv)
 
 # (INI section, key, train/kfold flag or None for a file-only key).  A flag
 # stores its value under the key's name; PT_SEED stands in for an unset seed.
@@ -180,6 +179,28 @@ def _require_file(path, kind):
     return Path(path)
 
 
+def _load_data(path):
+    """The dataset at ``path``; a missing file or no records is a DataError."""
+    path = _require_file(path, "dataset")
+    ds = load_dataset(path)
+    if not ds.records:
+        raise DataError(f"{path}: dataset is empty")
+    return ds
+
+
+def _read_selection(path):
+    with open(_require_file(path, "selection"), "r", encoding="utf-8") as fh:
+        return FeatureSelection.from_json(json.load(fh))
+
+
+def _forest_selection(ds, k, trees, seed, jobs):
+    """The top ``k`` EHR columns by the importances of a forest fit on the
+    patient means of ``ds``."""
+    X, y = patient_mean_features(ds)
+    forest = train_random_forest(X, y, n_trees=trees, seed=seed, jobs=jobs)
+    return select_top_k(feature_importances(forest), k)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -210,26 +231,18 @@ def cmd_synth(args):
 
 
 def cmd_select_features(args):
-    data_path = _require_file(args.data, "dataset")
-    ds = load_dataset(data_path)
-    if not ds.records:
-        raise DataError(f"{data_path}: dataset is empty")
+    ds = _load_data(args.data)
     fracs, split_seed = _split_spec(resolve_settings(args, {}))
     train_ds, _, _ = split_by_patient(ds, fracs, seed=split_seed)
-    d = ds.d
-    top_k = args.top_k if args.top_k is not None else min(100, d)
-    if top_k > d:
-        raise ConfigError(f"--top-k {top_k} exceeds EHR feature count {d}")
-    X, y = patient_mean_features(train_ds)
-    forest = train_random_forest(X, y, n_trees=args.trees,
-                                 seed=_default_seed(args.seed), jobs=args.jobs)
-    importances = feature_importances(forest)
-    sel = select_top_k(importances, top_k)
+    top_k = args.top_k if args.top_k is not None else min(100, ds.d)
+    if top_k > ds.d:
+        raise ConfigError(f"--top-k {top_k} exceeds EHR feature count {ds.d}")
+    sel = _forest_selection(train_ds, top_k, args.trees, _default_seed(args.seed), args.jobs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(sel.to_json(), fh, sort_keys=True)
-    print(f"wrote {out}: top {sel.k} of {d} features")
+    print(f"wrote {out}: top {sel.k} of {ds.d} features")
     return 0
 
 
@@ -247,24 +260,16 @@ def _fit_pipeline(train_ds, model_cfg):
     return tfidf
 
 
-def _caps(cfg):
-    return dict(max_days=cfg.max_days, max_images=cfg.max_images, max_notes=cfg.max_notes)
-
-
 def cmd_train(args):
-    data_path = _require_file(args.data, "dataset")
+    data_path = Path(args.data)
+    ds = _load_data(data_path)
     file_cfg = load_config_file(args.config) if args.config else {}
-    ds = load_dataset(data_path)
-    if not ds.records:
-        raise DataError(f"{data_path}: dataset is empty")
 
     selection = None
     if not args.no_select:
         if not args.selection:
             raise ConfigError("either --selection FILE or --no-select is required")
-        sel_path = _require_file(args.selection, "selection")
-        with open(sel_path, "r", encoding="utf-8") as fh:
-            selection = FeatureSelection.from_json(json.load(fh))
+        selection = _read_selection(args.selection)
 
     settings = resolve_settings(args, file_cfg)
     model_cfg, train_cfg = _run_configs(settings)
@@ -277,7 +282,7 @@ def cmd_train(args):
 
     train_ds, val_ds, test_ds = split_by_patient(ds, fracs, seed=split_seed)
     tfidf = _fit_pipeline(train_ds, model_cfg)
-    caps = _caps(model_cfg)
+    caps = model_cfg.caps()
     tb, tl = prepare_bundles(train_ds.records, model_cfg.modalities, selection, tfidf, **caps)
     vb, vl = prepare_bundles(val_ds.records, model_cfg.modalities, selection, tfidf, **caps)
 
@@ -307,8 +312,7 @@ def cmd_train(args):
     val_classes = {r.label for r in val_ds.records}
     if len(val_classes) == 2:
         report = evaluate(
-            lambda recs: predict_proba(result.model, prepare_bundles(
-                recs, model_cfg.modalities, selection, tfidf, **caps)[0]),
+            Ensemble([result.model], [], selection, tfidf).predict_records,
             val_ds.records,
             params=result.model.count_parameters(),
             seconds_per_epoch=result.seconds_per_epoch,
@@ -325,11 +329,9 @@ def cmd_train(args):
 
 
 def cmd_kfold(args):
-    data_path = _require_file(args.data, "dataset")
+    data_path = Path(args.data)
+    ds = _load_data(data_path)
     file_cfg = load_config_file(args.config, KFOLD_SECTIONS) if args.config else {}
-    ds = load_dataset(data_path)
-    if not ds.records:
-        raise DataError(f"{data_path}: dataset is empty")
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
 
@@ -338,18 +340,15 @@ def cmd_kfold(args):
 
     selection = None
     if args.selection:
-        with open(_require_file(args.selection, "selection"), "r", encoding="utf-8") as fh:
-            selection = FeatureSelection.from_json(json.load(fh))
+        selection = _read_selection(args.selection)
         _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
     elif "ehr" in model_cfg.modalities:
         configured = settings["model"].get("k_ehr")
         if configured is not None and configured > ds.d:
             raise ConfigError(
                 f"model.k_ehr = {configured}, but {data_path} has {ds.d} EHR features")
-        X, y = patient_mean_features(ds)
-        forest = train_random_forest(X, y, n_trees=args.trees, seed=train_cfg.seed,
-                                     jobs=args.jobs)
-        selection = select_top_k(feature_importances(forest), min(model_cfg.k_ehr, ds.d))
+        selection = _forest_selection(ds, min(model_cfg.k_ehr, ds.d), args.trees,
+                                      train_cfg.seed, args.jobs)
         model_cfg.k_ehr = selection.k
     tfidf = _fit_pipeline(ds, model_cfg)
 
@@ -375,9 +374,8 @@ def cmd_kfold(args):
     }
     if args.holdout:
         holdout = load_dataset(_require_file(args.holdout, "holdout dataset"))
-        hb, hl = prepare_bundles(holdout.records, model_cfg.modalities,
-                                 selection, tfidf, **_caps(model_cfg))
-        report["ensemble_holdout_auc"] = auc(ensemble.predict_bundles(hb), hl)
+        report["ensemble_holdout_auc"] = auc(ensemble.predict_records(holdout.records),
+                                             [r.label for r in holdout.records])
     with open(out_dir / "ensemble.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
     print(f"k={args.k} mean fold val AUC {report['mean_fold_val_auc']:.4f} "
@@ -385,24 +383,42 @@ def cmd_kfold(args):
     return 0
 
 
+def _pipeline_parts(model, selection, tfidf):
+    """What every member of an ensemble must share with member 0."""
+    return {
+        "config": replace(model.config, seed=0),
+        "selection": selection.to_json() if selection is not None else None,
+        "TF-IDF": tfidf.to_json() if tfidf is not None else None,
+    }
+
+
 def _load_predictor(model_path):
-    """A single model file or a directory of ensemble members."""
+    """An Ensemble of a single model file or of a directory's member files,
+    and member 0's fingerprint.  A member whose selection, TF-IDF or config
+    (apart from its seed) differs from member 0's is rejected, since the
+    ensemble builds every member's inputs with member 0's pipeline."""
     path = Path(model_path)
     if path.is_dir():
-        members = sorted(path.glob("member_*.json"))
-        if not members:
+        files = sorted(path.glob("member_*.json"))
+        if not files:
             raise DataError(f"{path}: no member_*.json files found")
-        loaded = [load_model(p) for p in members]
-        models = [m for m, _, _, _ in loaded]
-        _, selection, tfidf, fp = loaded[0]
-        ensemble = Ensemble(members=models, fold_val_aucs=[],
-                            selection=selection, tfidf=tfidf)
-        return ensemble, models[0].config, selection, tfidf, fp
-    model, selection, tfidf, fp = load_model(_require_file(path, "model"))
-    return model, model.config, selection, tfidf, fp
+    else:
+        files = [_require_file(path, "model")]
+    loaded = [load_model(p) for p in files]
+    _, selection, tfidf, fp = loaded[0]
+    first = _pipeline_parts(*loaded[0][:3])
+    for p, (model, sel, tf, _) in zip(files[1:], loaded[1:]):
+        parts = _pipeline_parts(model, sel, tf)
+        differ = [name for name in parts if parts[name] != first[name]]
+        if differ:
+            raise DataError(f"{p} does not match {files[0].name} in {' and '.join(differ)}; "
+                            "ensemble members must share one pipeline")
+    return Ensemble(members=[m for m, _, _, _ in loaded], fold_val_aucs=[],
+                    selection=selection, tfidf=tfidf), fp
 
 
-def _check_compat(cfg, selection, tfidf, ds):
+def _check_compat(ensemble, ds):
+    cfg, selection, tfidf = ensemble.members[0].config, ensemble.selection, ensemble.tfidf
     if "ehr" in cfg.modalities:
         if selection is not None:
             bad = [i for i in selection.indices if i >= ds.d]
@@ -425,27 +441,17 @@ def _check_compat(cfg, selection, tfidf, ds):
 
 
 def cmd_eval(args):
-    predictor, cfg, selection, tfidf, fp = _load_predictor(args.model)
-    ds = load_dataset(_require_file(args.data, "dataset"))
-    if not ds.records:
-        raise DataError(f"{args.data}: dataset is empty")
+    ensemble, fp = _load_predictor(args.model)
+    ds = _load_data(args.data)
     if args.split:
         fracs, split_seed = _split_spec(resolve_settings(args, {}))
         parts = dict(zip(("train", "val", "test"),
                          split_by_patient(ds, fracs, seed=split_seed)))
         ds = parts[args.split]
-    _check_compat(cfg, selection, tfidf, ds)
-    caps = _caps(cfg)
-
-    def score(records):
-        bundles, _ = prepare_bundles(records, cfg.modalities, selection, tfidf, **caps)
-        if isinstance(predictor, Ensemble):
-            return predictor.predict_bundles(bundles)
-        return predict_proba(predictor, bundles)
-
-    n_params = (sum(m.count_parameters() for m in predictor.members)
-                if isinstance(predictor, Ensemble) else predictor.count_parameters())
-    report = evaluate(score, ds.records, params=n_params, fingerprint=fp)
+    _check_compat(ensemble, ds)
+    report = evaluate(ensemble.predict_records, ds.records,
+                      params=sum(m.count_parameters() for m in ensemble.members),
+                      fingerprint=fp)
     out_dir = Path(args.out)
     save_report(report, out_dir)
     print(f"AUC {report.auc:.4f} on {len(ds.records)} records "

@@ -73,6 +73,10 @@ class ModelConfig:
     def layers(self, modality):
         return {"ehr": self.ehr_layers, "cxr": self.cxr_layers, "notes": self.notes_layers}[modality]
 
+    def caps(self):
+        """Sequence caps as ``prepare_bundles`` keyword arguments."""
+        return dict(max_days=self.max_days, max_images=self.max_images, max_notes=self.max_notes)
+
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
@@ -302,9 +306,6 @@ class ReadmissionModel:
     def __init__(self, config, params=None):
         self.config = config
         self.params = params if params is not None else build_parameters(config)
-
-    def parameters(self):
-        return self.params
 
     def count_parameters(self):
         return int(sum(p.data.size for p in self.params.values()))

@@ -83,9 +83,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -115,21 +112,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={_fmt(self.shape)}, requires_grad={self.requires_grad})"
-
-    # Convenience operators used by model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
 
 
 def _toposort(root):

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc
-from .features import FeatureBundle, prepare_bundles
+from .features import prepare_bundles
 from .model import ReadmissionModel, collate
 
 
@@ -239,27 +239,6 @@ class TrainResult:
     seconds_per_epoch: float
 
 
-def _noisy_batch(bundles, modalities, ratio, rng):
-    """Apply range-proportional noise per modality across the whole batch."""
-    if ratio == 0:
-        return bundles
-    out = []
-    stacked = {}
-    for mod in modalities:
-        rows = np.concatenate([np.asarray(b.get(mod)) for b in bundles], axis=0)
-        stacked[mod] = inject_noise(rows, ratio, rng)
-    offsets = {mod: 0 for mod in modalities}
-    for b in bundles:
-        nb = FeatureBundle()
-        for mod in modalities:
-            mat = np.asarray(b.get(mod))
-            lo = offsets[mod]
-            setattr(nb, mod, stacked[mod][lo:lo + mat.shape[0]])
-            offsets[mod] += mat.shape[0]
-        out.append(nb)
-    return out
-
-
 def predict_logits(model, bundles, batch_size=256):
     """Eval-mode logits for a list of bundles (no dropout, no noise, no graph)."""
     dt = model.config.np_dtype()
@@ -325,9 +304,15 @@ def train(model, train_bundles, train_labels, val_bundles, val_labels, cfg):
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            bundles = _noisy_batch([train_bundles[i] for i in idx], modalities, ratio, rng)
-            loss_val = _train_step(model, opt, collate(bundles, modalities, dtype=dt),
-                                   train_labels[idx], cfg, lr, rng)
+            # Noise goes on the valid rows only, in float64 before the cast, so
+            # padding stays zero and a float32 run draws a float64 run's noise.
+            batch = collate([train_bundles[i] for i in idx], modalities)
+            for mod, arr in batch.arrays.items():
+                if ratio:
+                    rows = batch.masks[mod]
+                    arr[rows] = inject_noise(arr[rows], ratio, rng)
+                batch.arrays[mod] = arr.astype(dt, copy=False)
+            loss_val = _train_step(model, opt, batch, train_labels[idx], cfg, lr, rng)
             if not np.isfinite(loss_val):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {lo // cfg.batch_size}"
@@ -389,6 +374,17 @@ class Ensemble:
             raise ConfigError("ensemble has no members")
         return np.mean([predict_proba(m, bundles) for m in self.members], axis=0)
 
+    def predict_records(self, records):
+        """Mean member probabilities for raw records, whose bundles are built
+        with this ensemble's selection and TF-IDF and the first member's
+        modalities and caps.  A one-member ensemble gives its model's bits."""
+        if not self.members:
+            raise ConfigError("ensemble has no members")
+        cfg = self.members[0].config
+        bundles, _ = prepare_bundles(records, cfg.modalities, self.selection, self.tfidf,
+                                     **cfg.caps())
+        return self.predict_bundles(bundles)
+
 
 def patient_folds(records, k, seed=0):
     """Assign patients to k disjoint folds; returns a fold index per record."""
@@ -408,9 +404,8 @@ def _train_fold(args):
     cfg = replace(model_cfg, seed=model_cfg.seed + fold)
     train_recs = [r for r, f in zip(records, fold_ids) if f != fold]
     val_recs = [r for r, f in zip(records, fold_ids) if f == fold]
-    caps = dict(max_days=cfg.max_days, max_images=cfg.max_images, max_notes=cfg.max_notes)
-    tb, tl = prepare_bundles(train_recs, cfg.modalities, selection, tfidf, **caps)
-    vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **caps)
+    tb, tl = prepare_bundles(train_recs, cfg.modalities, selection, tfidf, **cfg.caps())
+    vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **cfg.caps())
     result = train(ReadmissionModel(cfg), tb, tl, vb, vl,
                    replace(train_cfg, seed=train_cfg.seed + fold))
     return result.model.get_state(), result.best_val_auc

@@ -351,6 +351,11 @@ def test_kfold_members_and_report(tmp_path, workspace):
     assert "ensemble_holdout_auc" in report
     # k_ehr unset: the forest keeps min(100, width) = 50 columns
     assert json.loads(members[0].read_text())["config"]["k_ehr"] == 50
+    # the holdout AUC is the one eval reports for the member directory
+    r = run_cli("eval", "--model", out, "--data", workspace["data"], "--out", tmp_path / "ev")
+    assert r.returncode == 0, r.stderr
+    ev = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert report["ensemble_holdout_auc"] == ev["auc"]
 
 
 def test_kfold_configured_k_ehr_above_the_dataset_width_is_rejected(tmp_path, workspace):
@@ -456,6 +461,53 @@ def test_eval_single_member_ensemble_equals_model(tmp_path, workspace):
     auc_a = json.loads((out_a / "report.json").read_text())["auc"]
     auc_b = json.loads((out_b / "report.json").read_text())["auc"]
     assert auc_a == auc_b
+
+
+def _reverse_selection(obj):
+    obj["selection"]["indices"].reverse()
+
+
+def _double_first_idf(obj):
+    obj["tfidf"]["idf"][0] *= 2
+
+
+@pytest.mark.parametrize("edit,part", [
+    (_reverse_selection, "selection"),
+    (_double_first_idf, "TF-IDF"),
+    (lambda obj: obj["config"].update(max_days=3), "config"),
+    (lambda obj: obj["config"].update(seed=obj["config"]["seed"] + 1), None),
+], ids=["selection", "tfidf", "config", "seed-only"])
+def test_eval_rejects_members_that_do_not_share_a_pipeline(tmp_path, workspace, edit, part):
+    """Every member is scored on inputs built with member 0's selection,
+    TF-IDF and caps, so a member that differs in any of them (its seed
+    aside) is an error naming that member."""
+    model = json.loads((workspace["run"] / "model.json").read_text())
+    ens_dir = tmp_path / "mixed"
+    ens_dir.mkdir()
+    (ens_dir / "member_00.json").write_text(json.dumps(model))
+    edit(model)
+    (ens_dir / "member_01.json").write_text(json.dumps(model))
+    r = run_cli("eval", "--model", ens_dir, "--data", workspace["data"],
+                "--out", tmp_path / "ev")
+    if part is None:
+        assert r.returncode == 0, r.stderr
+        return
+    assert r.returncode == 3
+    assert "member_01.json" in r.stderr and part in r.stderr
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("command", ["select-features", "train", "kfold", "eval"])
+def test_empty_dataset_is_a_data_error(tmp_path, workspace, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    args = {"select-features": ["--out", tmp_path / "sel.json"],
+            "train": ["--out", tmp_path / "run", "--no-select"],
+            "kfold": ["--out", tmp_path / "kf"],
+            "eval": ["--out", tmp_path / "ev", "--model", workspace["run"] / "model.json"]}
+    r = run_cli(command, "--data", empty, *args[command])
+    assert r.returncode == 3
+    assert str(empty) in r.stderr and "dataset is empty" in r.stderr
 
 
 def test_eval_tampered_model_clean_error(tmp_path, workspace):

@@ -409,6 +409,68 @@ def test_train_noise_is_train_only():
     np.testing.assert_array_equal(a, b)
 
 
+def _reference_noisy_batch(bundles, modalities, ratio, rng):
+    """The loop's former path: noise the concatenated valid rows of each
+    modality, rebuild the bundles, then collate them in the model dtype."""
+    if ratio == 0:
+        return bundles
+    stacked = {}
+    for mod in modalities:
+        rows = np.concatenate([np.asarray(b.get(mod)) for b in bundles], axis=0)
+        stacked[mod] = inject_noise(rows, ratio, rng)
+    out = []
+    offsets = {mod: 0 for mod in modalities}
+    for b in bundles:
+        nb = FeatureBundle()
+        for mod in modalities:
+            lo, size = offsets[mod], np.asarray(b.get(mod)).shape[0]
+            setattr(nb, mod, stacked[mod][lo:lo + size])
+            offsets[mod] += size
+        out.append(nb)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("ratio", [0.0, 0.05])
+def test_training_batches_match_the_reference_batch_path(monkeypatch, dtype, ratio):
+    """Each training batch, noised in float64 on its valid rows and then cast,
+    has the bytes of the former noise-bundles-then-collate path, and leaves
+    the generator in the same state."""
+    from readmit import training
+
+    rng = np.random.default_rng(4)
+    bundles = [FeatureBundle(ehr=rng.normal(size=(int(rng.integers(1, 6)), 3)),
+                             notes=rng.normal(size=(int(rng.integers(1, 4)), 1024)))
+               for _ in range(11)]
+    labels = np.arange(11) % 2
+    cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, notes_layers=1, d_ff=6,
+                      dropout=0.0, k_ehr=3, modalities=("ehr", "notes"), dtype=dtype)
+    noise = NoiseSchedule(kind="linear", r_initial=ratio, r_final=ratio)
+    tcfg = quick_train_cfg(epochs=2, batch_size=4, noise=noise, seed=9)
+    seen = []
+    monkeypatch.setattr(training, "_train_step", lambda model, opt, batch, labels, cfg, lr, rng:
+                        seen.append((batch, rng.bit_generator.state)) or 0.0)
+    train(ReadmissionModel(cfg), bundles, labels, bundles, labels, tcfg)
+
+    ref_rng = np.random.default_rng(tcfg.seed)
+    expected = []
+    for epoch in range(tcfg.epochs):
+        order = ref_rng.permutation(len(bundles))
+        for lo in range(0, len(bundles), tcfg.batch_size):
+            chunk = [bundles[i] for i in order[lo:lo + tcfg.batch_size]]
+            noisy = _reference_noisy_batch(chunk, cfg.modalities,
+                                           noise.ratio(epoch, tcfg.epochs), ref_rng)
+            expected.append((collate(noisy, cfg.modalities, dtype=cfg.np_dtype()),
+                             ref_rng.bit_generator.state))
+    assert len(seen) == len(expected) == 6
+    for (batch, state), (ref, ref_state) in zip(seen, expected):
+        assert state == ref_state
+        for mod in cfg.modalities:
+            assert batch.arrays[mod].dtype == ref.arrays[mod].dtype == np.dtype(dtype)
+            assert batch.arrays[mod].tobytes() == ref.arrays[mod].tobytes()
+            np.testing.assert_array_equal(batch.masks[mod], ref.masks[mod])
+
+
 def test_train_nan_aborts_with_diagnostic():
     bundles, labels, cfg = tiny_setup(seed=6)
     model = ReadmissionModel(cfg)
@@ -562,6 +624,26 @@ def test_ensemble_single_member_equals_model():
                                rtol=0, atol=1e-12)
 
 
+def test_ensemble_predict_records_uses_its_pipeline_and_the_member_caps():
+    """A one-member ensemble scores raw records with the bits of
+    predict_proba on bundles built from its selection, TF-IDF and caps."""
+    from readmit.features import fit_tfidf, prepare_bundles, select_top_k
+
+    records = synth_records(10, seed=3)
+    sel = select_top_k(np.linspace(1.0, 0.0, 50), 4)
+    tfidf = fit_tfidf([n for r in records for n in r.notes])
+    cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, notes_layers=1, d_ff=6,
+                      dropout=0.0, k_ehr=4, modalities=("ehr", "notes"), max_days=2, seed=1)
+    member = ReadmissionModel(cfg)
+    got = Ensemble([member], [], sel, tfidf).predict_records(records)
+    bundles, _ = prepare_bundles(records, cfg.modalities, sel, tfidf, **cfg.caps())
+    assert got.tobytes() == predict_proba(member, bundles).tobytes()
+    uncapped, _ = prepare_bundles(records, cfg.modalities, sel, tfidf)
+    assert not np.array_equal(got, predict_proba(member, uncapped))
+
+
 def test_ensemble_empty_errors():
     with pytest.raises(ConfigError):
         Ensemble(members=[], fold_val_aucs=[]).predict_bundles(ehr_bundles())
+    with pytest.raises(ConfigError):
+        Ensemble(members=[], fold_val_aucs=[]).predict_records(synth_records(2))
