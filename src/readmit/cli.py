@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,7 @@ from .data import (SPLIT_FRACTIONS as SPLIT_DEFAULT, SynthConfig, generate_synth
                    load_dataset, save_dataset, split_by_patient)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc, evaluate, save_report
-from .features import (FeatureSelection, feature_importances, fit_tfidf,
-                       patient_mean_features, prepare_bundles, select_top_k,
-                       train_random_forest)
+from .features import FeatureSelection, forest_selection, notes_tfidf, prepare_bundles
 from .model import (DTYPES, ENCODERS, MODALITY_ORDER, ModelConfig,
                     ReadmissionModel, load_model, save_model)
 from .training import (NOISE_KINDS, Ensemble, LossConfig, NoiseSchedule,
@@ -189,16 +187,13 @@ def _load_data(path):
 
 
 def _read_selection(path):
-    with open(_require_file(path, "selection"), "r", encoding="utf-8") as fh:
-        return FeatureSelection.from_json(json.load(fh))
-
-
-def _forest_selection(ds, k, trees, seed, jobs):
-    """The top ``k`` EHR columns by the importances of a forest fit on the
-    patient means of ``ds``."""
-    X, y = patient_mean_features(ds)
-    forest = train_random_forest(X, y, n_trees=trees, seed=seed, jobs=jobs)
-    return select_top_k(feature_importances(forest), k)
+    """The selection at ``path``; a file that is not one is a DataError."""
+    path = _require_file(path, "selection")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return FeatureSelection.from_json(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a valid selection file: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +232,14 @@ def cmd_select_features(args):
     top_k = args.top_k if args.top_k is not None else min(100, ds.d)
     if top_k > ds.d:
         raise ConfigError(f"--top-k {top_k} exceeds EHR feature count {ds.d}")
-    sel = _forest_selection(train_ds, top_k, args.trees, _default_seed(args.seed), args.jobs)
+    sel = forest_selection(train_ds.records, top_k, args.trees, _default_seed(args.seed),
+                           args.jobs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(sel.to_json(), fh, sort_keys=True)
     print(f"wrote {out}: top {sel.k} of {ds.d} features")
     return 0
-
-
-def _fit_pipeline(train_ds, model_cfg):
-    """Fit the TF-IDF model on training notes (selection comes precomputed)."""
-    tfidf = None
-    if "notes" in model_cfg.modalities:
-        kinds = {r.notes_kind for r in train_ds.records}
-        if "text" in kinds:
-            corpus = [note for r in train_ds.records if r.notes_kind == "text"
-                      for note in r.notes]
-            if not corpus:
-                raise DataError("notes modality active but no note text in training split")
-            tfidf = fit_tfidf(corpus)
-    return tfidf
 
 
 def cmd_train(args):
@@ -281,7 +263,7 @@ def cmd_train(args):
     fracs, split_seed = _split_spec(settings)
 
     train_ds, val_ds, test_ds = split_by_patient(ds, fracs, seed=split_seed)
-    tfidf = _fit_pipeline(train_ds, model_cfg)
+    tfidf = notes_tfidf(train_ds.records, model_cfg.modalities)
     caps = model_cfg.caps()
     tb, tl = prepare_bundles(train_ds.records, model_cfg.modalities, selection, tfidf, **caps)
     vb, vl = prepare_bundles(val_ds.records, model_cfg.modalities, selection, tfidf, **caps)
@@ -312,7 +294,7 @@ def cmd_train(args):
     val_classes = {r.label for r in val_ds.records}
     if len(val_classes) == 2:
         report = evaluate(
-            Ensemble([result.model], [], selection, tfidf).predict_records,
+            Ensemble([result.model], [], [(selection, tfidf)]).predict_records,
             val_ds.records,
             params=result.model.count_parameters(),
             seconds_per_epoch=result.seconds_per_epoch,
@@ -331,6 +313,7 @@ def cmd_train(args):
 def cmd_kfold(args):
     data_path = Path(args.data)
     ds = _load_data(data_path)
+    holdout = _load_data(args.holdout) if args.holdout else None
     file_cfg = load_config_file(args.config, KFOLD_SECTIONS) if args.config else {}
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
@@ -347,22 +330,19 @@ def cmd_kfold(args):
         if configured is not None and configured > ds.d:
             raise ConfigError(
                 f"model.k_ehr = {configured}, but {data_path} has {ds.d} EHR features")
-        selection = _forest_selection(ds, min(model_cfg.k_ehr, ds.d), args.trees,
-                                      train_cfg.seed, args.jobs)
-        model_cfg.k_ehr = selection.k
-    tfidf = _fit_pipeline(ds, model_cfg)
+        model_cfg.k_ehr = min(model_cfg.k_ehr, ds.d)
 
     fp = fingerprint({"model": model_cfg.to_json(), "k": args.k, "seed": train_cfg.seed})
     started = time.perf_counter()
     ensemble = kfold_train(ds.records, model_cfg, train_cfg, k=args.k,
                            fold_seed=train_cfg.seed, selection=selection,
-                           tfidf=tfidf, jobs=args.jobs)
+                           jobs=args.jobs, trees=args.trees)
     runtime = time.perf_counter() - started
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, member in enumerate(ensemble.members):
-        save_model(out_dir / f"member_{i:02d}.json", member, selection=selection,
+    for i, (member, (sel, tfidf)) in enumerate(zip(ensemble.members, ensemble.pipelines)):
+        save_model(out_dir / f"member_{i:02d}.json", member, selection=sel,
                    tfidf=tfidf, fingerprint=fp)
 
     report = {
@@ -372,8 +352,7 @@ def cmd_kfold(args):
         "runtime_seconds": runtime,
         "fingerprint": fp,
     }
-    if args.holdout:
-        holdout = load_dataset(_require_file(args.holdout, "holdout dataset"))
+    if holdout is not None:
         report["ensemble_holdout_auc"] = auc(ensemble.predict_records(holdout.records),
                                              [r.label for r in holdout.records])
     with open(out_dir / "ensemble.json", "w", encoding="utf-8") as fh:
@@ -383,20 +362,9 @@ def cmd_kfold(args):
     return 0
 
 
-def _pipeline_parts(model, selection, tfidf):
-    """What every member of an ensemble must share with member 0."""
-    return {
-        "config": replace(model.config, seed=0),
-        "selection": selection.to_json() if selection is not None else None,
-        "TF-IDF": tfidf.to_json() if tfidf is not None else None,
-    }
-
-
 def _load_predictor(model_path):
     """An Ensemble of a single model file or of a directory's member files,
-    and member 0's fingerprint.  A member whose selection, TF-IDF or config
-    (apart from its seed) differs from member 0's is rejected, since the
-    ensemble builds every member's inputs with member 0's pipeline."""
+    each member with its own pipeline, and member 0's fingerprint."""
     path = Path(model_path)
     if path.is_dir():
         files = sorted(path.glob("member_*.json"))
@@ -405,39 +373,32 @@ def _load_predictor(model_path):
     else:
         files = [_require_file(path, "model")]
     loaded = [load_model(p) for p in files]
-    _, selection, tfidf, fp = loaded[0]
-    first = _pipeline_parts(*loaded[0][:3])
-    for p, (model, sel, tf, _) in zip(files[1:], loaded[1:]):
-        parts = _pipeline_parts(model, sel, tf)
-        differ = [name for name in parts if parts[name] != first[name]]
-        if differ:
-            raise DataError(f"{p} does not match {files[0].name} in {' and '.join(differ)}; "
-                            "ensemble members must share one pipeline")
     return Ensemble(members=[m for m, _, _, _ in loaded], fold_val_aucs=[],
-                    selection=selection, tfidf=tfidf), fp
+                    pipelines=[(sel, tfidf) for _, sel, tfidf, _ in loaded]), loaded[0][3]
 
 
 def _check_compat(ensemble, ds):
-    cfg, selection, tfidf = ensemble.members[0].config, ensemble.selection, ensemble.tfidf
-    if "ehr" in cfg.modalities:
-        if selection is not None:
-            bad = [i for i in selection.indices if i >= ds.d]
-            if bad:
+    for member, (selection, tfidf) in zip(ensemble.members, ensemble.pipelines):
+        cfg = member.config
+        if "ehr" in cfg.modalities:
+            if selection is not None:
+                bad = [i for i in selection.indices if i >= ds.d]
+                if bad:
+                    raise DataError(
+                        f"fingerprint mismatch: selection indices {bad} out of range "
+                        f"for dataset with {ds.d} EHR features"
+                    )
+            elif cfg.k_ehr != ds.d:
                 raise DataError(
-                    f"fingerprint mismatch: selection indices {bad} out of range "
-                    f"for dataset with {ds.d} EHR features"
+                    f"fingerprint mismatch: model expects {cfg.k_ehr} EHR features, "
+                    f"dataset has {ds.d}"
                 )
-        elif cfg.k_ehr != ds.d:
-            raise DataError(
-                f"fingerprint mismatch: model expects {cfg.k_ehr} EHR features, "
-                f"dataset has {ds.d}"
-            )
-    if "notes" in cfg.modalities and tfidf is None:
-        if any(r.notes_kind == "text" for r in ds.records):
-            raise DataError(
-                "fingerprint mismatch: dataset has raw note text but the model "
-                "carries no TF-IDF vocabulary"
-            )
+        if "notes" in cfg.modalities and tfidf is None:
+            if any(r.notes_kind == "text" for r in ds.records):
+                raise DataError(
+                    "fingerprint mismatch: dataset has raw note text but the model "
+                    "carries no TF-IDF vocabulary"
+                )
 
 
 def cmd_eval(args):

@@ -50,7 +50,7 @@ def auc(scores, labels):
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
         area += (x1 - x0) * 0.5 * (y0 + y1)
-    return area
+    return float(area)
 
 
 def auc_mann_whitney(scores, labels):

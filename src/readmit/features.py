@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CXR_DIM, NOTES_DIM
+from .data import CXR_DIM, NOTES_DIM, Dataset
 from .errors import ConfigError, DataError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -319,6 +319,25 @@ def patient_mean_features(ds):
     X = np.stack([rec.ehr.mean(axis=0) for rec in ds.records])
     y = np.array([rec.label for rec in ds.records], dtype=int)
     return X, y
+
+
+def forest_selection(records, k, trees, seed, jobs=1):
+    """The top ``k`` EHR columns by the importances of a forest fit on the
+    day-averaged EHR rows of ``records``."""
+    X, y = patient_mean_features(Dataset(records=records, ehr_feature_names=[]))
+    forest = train_random_forest(X, y, n_trees=trees, seed=seed, jobs=jobs)
+    return select_top_k(feature_importances(forest), k)
+
+
+def notes_tfidf(records, modalities):
+    """The TF-IDF fit on the note text of ``records``; None when notes are
+    inactive or every record carries note vectors."""
+    if "notes" not in modalities or all(r.notes_kind != "text" for r in records):
+        return None
+    corpus = [note for r in records if r.notes_kind == "text" for note in r.notes]
+    if not corpus:
+        raise DataError("notes modality active but no note text in the training records")
+    return fit_tfidf(corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc
-from .features import prepare_bundles
+from .features import forest_selection, notes_tfidf, prepare_bundles
 from .model import ReadmissionModel, collate
 
 
@@ -365,8 +365,7 @@ def write_history_csv(history, path):
 class Ensemble:
     members: list                   # ReadmissionModel
     fold_val_aucs: list
-    selection: object = None
-    tfidf: object = None
+    pipelines: list = None          # (selection, tfidf) per member
 
     def predict_bundles(self, bundles):
         """Arithmetic mean of member probabilities, one per bundle."""
@@ -375,15 +374,26 @@ class Ensemble:
         return np.mean([predict_proba(m, bundles) for m in self.members], axis=0)
 
     def predict_records(self, records):
-        """Mean member probabilities for raw records, whose bundles are built
-        with this ensemble's selection and TF-IDF and the first member's
-        modalities and caps.  A one-member ensemble gives its model's bits."""
+        """Mean member probabilities for raw records.  Each member scores
+        bundles built with its own selection, TF-IDF, modalities and caps;
+        members equal in all four share one build.  A one-member ensemble
+        gives its model's bits."""
         if not self.members:
             raise ConfigError("ensemble has no members")
-        cfg = self.members[0].config
-        bundles, _ = prepare_bundles(records, cfg.modalities, self.selection, self.tfidf,
-                                     **cfg.caps())
-        return self.predict_bundles(bundles)
+        groups = {}
+        for i, (member, (sel, tfidf)) in enumerate(zip(self.members, self.pipelines)):
+            cfg = member.config
+            key = (cfg.modalities, str(cfg.caps()), sel and tuple(sel.indices),
+                   tfidf and (tuple(tfidf.vocabulary), tfidf.idf.tobytes()))
+            groups.setdefault(key, []).append(i)
+        probs = [None] * len(self.members)
+        for idx in groups.values():
+            cfg = self.members[idx[0]].config
+            bundles, _ = prepare_bundles(records, cfg.modalities, *self.pipelines[idx[0]],
+                                         **cfg.caps())
+            for i in idx:
+                probs[i] = predict_proba(self.members[i], bundles)
+        return np.mean(probs, axis=0)
 
 
 def patient_folds(records, k, seed=0):
@@ -400,28 +410,36 @@ def patient_folds(records, k, seed=0):
 
 
 def _train_fold(args):
-    (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf) = args
+    """Fold ``fold``'s member state, validation AUC and (selection, tfidf);
+    a selection or TF-IDF not given is fit on the fold's training records."""
+    (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees) = args
     cfg = replace(model_cfg, seed=model_cfg.seed + fold)
     train_recs = [r for r, f in zip(records, fold_ids) if f != fold]
     val_recs = [r for r, f in zip(records, fold_ids) if f == fold]
+    if selection is None and "ehr" in cfg.modalities:
+        selection = forest_selection(train_recs, cfg.k_ehr, trees, train_cfg.seed)
+    if tfidf is None:
+        tfidf = notes_tfidf(train_recs, cfg.modalities)
     tb, tl = prepare_bundles(train_recs, cfg.modalities, selection, tfidf, **cfg.caps())
     vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **cfg.caps())
     result = train(ReadmissionModel(cfg), tb, tl, vb, vl,
                    replace(train_cfg, seed=train_cfg.seed + fold))
-    return result.model.get_state(), result.best_val_auc
+    return result.model.get_state(), result.best_val_auc, (selection, tfidf)
 
 
 def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
-                selection=None, tfidf=None, jobs=1):
+                selection=None, tfidf=None, jobs=1, trees=100):
     """Train K patient-grouped fold models and return them as an Ensemble.
 
     Fold i trains on all other folds and validates on fold i; per-fold RNG
     seeds are the base seeds plus the fold index, so folds are reproducible
-    independently of execution order or parallelism.
+    independently of execution order or parallelism.  A fold given no
+    ``selection`` keeps the top ``model_cfg.k_ehr`` columns of a ``trees``-tree
+    forest seeded with ``train_cfg.seed``.
     """
     fold_ids = patient_folds(records, k, seed=fold_seed)
     jobs_args = [
-        (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf)
+        (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees)
         for fold in range(k)
     ]
     if jobs > 1:
@@ -432,10 +450,10 @@ def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
     members = [
         ReadmissionModel(replace(model_cfg, seed=model_cfg.seed + fold),
                          params={n: T.Tensor(a, requires_grad=True) for n, a in state.items()})
-        for fold, (state, _) in enumerate(results)
+        for fold, (state, _, _) in enumerate(results)
     ]
-    return Ensemble(members=members, fold_val_aucs=[a for _, a in results],
-                    selection=selection, tfidf=tfidf)
+    return Ensemble(members=members, fold_val_aucs=[a for _, a, _ in results],
+                    pipelines=[p for _, _, p in results])
 
 
 def _parallel_folds(jobs_args, jobs):

@@ -119,6 +119,13 @@ def test_train_artifacts(workspace):
     assert len(rows) == 2
 
 
+def test_history_val_auc_cells_are_numbers(workspace):
+    header, *rows = (workspace["run"] / "history.csv").read_text().strip().splitlines()
+    column = header.split(",").index("val_auc")
+    for row in rows:
+        float(row.split(",")[column])
+
+
 def test_train_single_epoch_history(tmp_path, workspace):
     out = tmp_path / "one"
     r = run_cli("train", "--data", workspace["data"], "--out", out,
@@ -145,6 +152,23 @@ def test_train_requires_selection_or_no_select(workspace, tmp_path):
                 "--epochs", 1)
     assert r.returncode == 2
     assert "no-select" in r.stderr
+
+
+@pytest.mark.parametrize("text,cause", [
+    ("{", "JSONDecodeError"),
+    ('{"k": 1, "importances": [1.0]}', "indices"),
+    ('{"k": 1, "indices": [0]}', "importances"),
+], ids=["not-json", "no-indices", "no-importances"])
+def test_malformed_selection_file_is_a_data_error(tmp_path, workspace, text, cause):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "o"
+    r = run_cli("train", "--data", workspace["data"], "--out", out, "--selection", bad,
+                "--epochs", 1)
+    assert r.returncode == 3
+    assert str(bad) in r.stderr and cause in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_train_alpha_zero_rejected(tmp_path, workspace):
@@ -358,6 +382,80 @@ def test_kfold_members_and_report(tmp_path, workspace):
     assert report["ensemble_holdout_auc"] == ev["auc"]
 
 
+@pytest.mark.parametrize("holdout,cause", [("empty.jsonl", "dataset is empty"),
+                                           ("missing.jsonl", "does not exist")],
+                         ids=["empty", "missing"])
+def test_kfold_holdout_is_checked_before_any_fold_trains(tmp_path, workspace, holdout, cause):
+    holdout = tmp_path / holdout
+    if holdout.name == "empty.jsonl":
+        holdout.write_text("")
+    out = tmp_path / "kf"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--k", 2,
+                "--epochs", 1, "--trees", 5, "--holdout", holdout)
+    assert r.returncode == 3
+    assert str(holdout) in r.stderr and cause in r.stderr
+    assert not out.exists()
+
+
+def _fold_training_records(data, k, seed):
+    """Per fold, the records ``kfold --k k --seed seed`` trains that fold on."""
+    from readmit.data import load_dataset
+    from readmit.training import patient_folds
+
+    records = load_dataset(data).records
+    folds = patient_folds(records, k, seed=seed)
+    return records, folds, [[r for r, f in zip(records, folds) if f != fold]
+                            for fold in range(k)]
+
+
+def test_kfold_fits_each_fold_pipeline_without_that_folds_patients(tmp_path, workspace,
+                                                                    monkeypatch):
+    """Without --selection, fold i's forest and TF-IDF are fit on fold i's
+    training records, so they never see a patient of fold i."""
+    from readmit import features
+
+    forests, corpora = [], []
+    forest, fit_tfidf = features.train_random_forest, features.fit_tfidf
+
+    def forest_spy(X, y, **kwargs):
+        forests.append(X)
+        return forest(X, y, **kwargs)
+
+    def tfidf_spy(corpus, *args, **kwargs):
+        corpora.append(list(corpus))
+        return fit_tfidf(corpus, *args, **kwargs)
+
+    for module in (features, cli):
+        monkeypatch.setattr(module, "train_random_forest", forest_spy, raising=False)
+        monkeypatch.setattr(module, "fit_tfidf", tfidf_spy, raising=False)
+    code = cli.main(["kfold", "--data", str(workspace["data"]), "--out", str(tmp_path / "kf"),
+                     "--k", "3", "--epochs", "1", "--seed", "11", "--trees", "10"])
+    assert code == 0
+    records, folds, training = _fold_training_records(workspace["data"], 3, 11)
+    patient_of = {r.ehr.mean(axis=0).tobytes(): r.patient_id for r in records}
+    seen = [{patient_of[row.tobytes()] for row in X} for X in forests]
+    held_out = [{r.patient_id for r, f in zip(records, folds) if f == fold}
+                for fold in range(3)]
+    assert [s & h for s, h in zip(seen, held_out)] == [set()] * 3
+    assert seen == [{r.patient_id for r in recs} for recs in training]
+    assert corpora == [[n for r in recs for n in r.notes] for recs in training]
+
+
+def test_kfold_member_pipeline_is_the_library_fit_on_its_training_fold(tmp_path, workspace):
+    from readmit.features import forest_selection, notes_tfidf
+
+    out = tmp_path / "kf"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--k", 3,
+                "--epochs", 1, "--seed", 11, "--trees", 10)
+    assert r.returncode == 0, r.stderr
+    _, _, training = _fold_training_records(workspace["data"], 3, 11)
+    for i, recs in enumerate(training):
+        member = json.loads((out / f"member_{i:02d}.json").read_text())
+        assert member["selection"] == forest_selection(recs, 50, trees=10, seed=11).to_json()
+        assert member["tfidf"] == notes_tfidf(recs, ("ehr", "notes")).to_json()
+    assert member["selection"] != json.loads((out / "member_00.json").read_text())["selection"]
+
+
 def test_kfold_configured_k_ehr_above_the_dataset_width_is_rejected(tmp_path, workspace):
     cfg = tmp_path / "k.ini"
     cfg.write_text("[model]\nk_ehr = 200\n")
@@ -471,16 +569,20 @@ def _double_first_idf(obj):
     obj["tfidf"]["idf"][0] *= 2
 
 
-@pytest.mark.parametrize("edit,part", [
-    (_reverse_selection, "selection"),
-    (_double_first_idf, "TF-IDF"),
-    (lambda obj: obj["config"].update(max_days=3), "config"),
-    (lambda obj: obj["config"].update(seed=obj["config"]["seed"] + 1), None),
+@pytest.mark.parametrize("edit,own_inputs", [
+    (_reverse_selection, True), (_double_first_idf, True),
+    (lambda obj: obj["config"].update(max_days=3), True),
+    (lambda obj: obj["config"].update(seed=obj["config"]["seed"] + 1), False),
 ], ids=["selection", "tfidf", "config", "seed-only"])
-def test_eval_rejects_members_that_do_not_share_a_pipeline(tmp_path, workspace, edit, part):
-    """Every member is scored on inputs built with member 0's selection,
-    TF-IDF and caps, so a member that differs in any of them (its seed
-    aside) is an error naming that member."""
+def test_eval_scores_each_member_through_its_own_pipeline(tmp_path, workspace, edit,
+                                                          own_inputs):
+    """Members that differ in selection, TF-IDF or caps are each scored on
+    inputs built with their own, and eval reports the AUC of the mean."""
+    from readmit.data import load_dataset
+    from readmit.evaluation import auc
+    from readmit.features import prepare_bundles
+    from readmit.training import predict_proba
+
     model = json.loads((workspace["run"] / "model.json").read_text())
     ens_dir = tmp_path / "mixed"
     ens_dir.mkdir()
@@ -489,12 +591,20 @@ def test_eval_rejects_members_that_do_not_share_a_pipeline(tmp_path, workspace, 
     (ens_dir / "member_01.json").write_text(json.dumps(model))
     r = run_cli("eval", "--model", ens_dir, "--data", workspace["data"],
                 "--out", tmp_path / "ev")
-    if part is None:
-        assert r.returncode == 0, r.stderr
-        return
-    assert r.returncode == 3
-    assert "member_01.json" in r.stderr and part in r.stderr
-    assert not (tmp_path / "ev").exists()
+    assert r.returncode == 0, r.stderr
+
+    records = load_dataset(workspace["data"]).records
+    files = [ens_dir / "member_00.json", ens_dir / "member_01.json"]
+    own = [cli._load_predictor(f)[0].predict_records(records) for f in files]
+    mixed = cli._load_predictor(ens_dir)[0]
+    assert mixed.predict_records(records).tobytes() == np.mean(own, axis=0).tobytes()
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert report["auc"] == auc(np.mean(own, axis=0), [r.label for r in records])
+    # member 1 on member 0's inputs scores otherwise, unless only the seed differs
+    (m0, m1), ((sel0, tf0), _) = mixed.members, mixed.pipelines
+    borrowed = predict_proba(m1, prepare_bundles(records, m0.config.modalities, sel0, tf0,
+                                                 **m0.config.caps())[0])
+    assert np.array_equal(borrowed, own[1]) != own_inputs
 
 
 @pytest.mark.parametrize("command", ["select-features", "train", "kfold", "eval"])

@@ -50,6 +50,13 @@ def test_auc_hand_case_pair_count():
     assert auc_mann_whitney([0.8, 0.6, 0.4, 0.2], [1, 0, 1, 0]) == 0.75
 
 
+def test_auc_is_a_python_float():
+    """history.csv writes val_auc with repr, which must read as a number."""
+    value = auc([0.8, 0.6, 0.4, 0.2], [1, 0, 1, 0])
+    assert type(value) is float
+    assert float(repr(value)) == value
+
+
 def test_auc_perfect_and_tied():
     assert auc([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
     assert auc([0.5, 0.5, 0.5], [1, 0, 1]) == 0.5

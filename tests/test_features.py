@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ import readmit
 from readmit.data import SynthConfig, generate_synthetic, split_by_patient
 from readmit.errors import ConfigError, DataError
 from readmit.features import (apply_selection, build_bundle, feature_importances,
-                              fit_tfidf, gini, oob_accuracy,
-                              patient_mean_features, prepare_bundles,
-                              select_top_k, train_random_forest,
-                              transform_tfidf)
+                              fit_tfidf, forest_selection, gini, notes_tfidf,
+                              oob_accuracy, patient_mean_features,
+                              prepare_bundles, select_top_k,
+                              train_random_forest, transform_tfidf)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +409,29 @@ def test_apply_selection_out_of_range():
     sel = select_top_k(np.array([0.5, 0.5, 0.0, 0.0, 0.0]), 5)
     with pytest.raises(DataError):
         apply_selection(np.zeros((2, 3)), sel)
+
+
+def test_forest_selection_is_the_forest_chain_on_the_records():
+    ds, _ = generate_synthetic(SynthConfig(n_patients=30, seed=3))
+    records = ds.records[:40]
+    X = np.stack([r.ehr.mean(axis=0) for r in records])
+    y = np.array([r.label for r in records])
+    expected = select_top_k(feature_importances(
+        train_random_forest(X, y, n_trees=7, seed=2)), 6)
+    got = forest_selection(records, 6, trees=7, seed=2, jobs=2)
+    assert got.to_json() == expected.to_json()
+
+
+def test_notes_tfidf_fits_the_text_notes_of_active_notes_only():
+    ds, _ = generate_synthetic(SynthConfig(n_patients=5, seed=4))
+    corpus = [n for r in ds.records for n in r.notes]
+    assert notes_tfidf(ds.records, ("ehr", "notes")).to_json() == fit_tfidf(corpus).to_json()
+    assert notes_tfidf(ds.records, ("ehr",)) is None
+    vectors = [replace(r, notes=np.zeros((1, 1024)), notes_kind="vector") for r in ds.records]
+    assert notes_tfidf(vectors, ("notes",)) is None
+    silent = [replace(r, notes=[]) for r in ds.records]
+    with pytest.raises(DataError, match="no note text"):
+        notes_tfidf(silent, ("notes",))
 
 
 # ---------------------------------------------------------------------------

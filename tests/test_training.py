@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -635,11 +636,39 @@ def test_ensemble_predict_records_uses_its_pipeline_and_the_member_caps():
     cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, notes_layers=1, d_ff=6,
                       dropout=0.0, k_ehr=4, modalities=("ehr", "notes"), max_days=2, seed=1)
     member = ReadmissionModel(cfg)
-    got = Ensemble([member], [], sel, tfidf).predict_records(records)
+    got = Ensemble([member], [], [(sel, tfidf)]).predict_records(records)
     bundles, _ = prepare_bundles(records, cfg.modalities, sel, tfidf, **cfg.caps())
     assert got.tobytes() == predict_proba(member, bundles).tobytes()
     uncapped, _ = prepare_bundles(records, cfg.modalities, sel, tfidf)
     assert not np.array_equal(got, predict_proba(member, uncapped))
+
+
+def test_ensemble_predict_records_scores_each_member_through_its_own_pipeline(monkeypatch):
+    """Members score bundles of their own selection and caps; equal pipelines
+    held in distinct objects share one build, and the result is the mean of
+    the members' own probabilities."""
+    from readmit import training
+    from readmit.features import prepare_bundles, select_top_k
+
+    records = synth_records(10, seed=3)
+    cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, d_ff=6, dropout=0.0, k_ehr=4,
+                      modalities=("ehr",), seed=1)
+    members = [ReadmissionModel(replace(cfg, seed=s, max_days=d))
+               for s, d in ((1, 64), (2, 64), (3, 2))]
+    order = np.linspace(1.0, 0.0, 50)
+    pipelines = [(select_top_k(order, 4), None), (select_top_k(order, 4), None),
+                 (select_top_k(order[::-1], 4), None)]
+    builds = []
+    build = training.prepare_bundles
+    monkeypatch.setattr(training, "prepare_bundles",
+                        lambda *a, **kw: builds.append(a[2]) or build(*a, **kw))
+    got = Ensemble(members, [], pipelines).predict_records(records)
+    assert len(builds) == 2
+    own = [predict_proba(m, prepare_bundles(records, ("ehr",), sel, **m.config.caps())[0])
+           for m, (sel, _) in zip(members, pipelines)]
+    assert got.tobytes() == np.mean(own, axis=0).tobytes()
+    shared = prepare_bundles(records, ("ehr",), pipelines[0][0])[0]
+    assert not np.allclose(own[2], predict_proba(members[2], shared))
 
 
 def test_ensemble_empty_errors():
