@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -178,12 +179,25 @@ def _require_file(path, kind):
 
 
 def _load_data(path):
-    """The dataset at ``path``; a missing file or no records is a DataError."""
+    """The dataset at ``path``; a missing file or no records is a DataError,
+    reported once: ``load_dataset``'s empty-file warning is silenced."""
     path = _require_file(path, "dataset")
-    ds = load_dataset(path)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*: empty dataset$", category=UserWarning)
+        ds = load_dataset(path)
     if not ds.records:
         raise DataError(f"{path}: dataset is empty")
     return ds
+
+
+def _require_both_classes(ds, source):
+    """An AUC needs both classes: data to score with one is a DataError that
+    names ``source`` and its class counts."""
+    n_pos = sum(r.label for r in ds.records)
+    n_neg = len(ds.records) - n_pos
+    if not n_pos or not n_neg:
+        raise DataError(f"{source}: AUC needs both classes, got {n_pos} positive and "
+                        f"{n_neg} negative admissions")
 
 
 def _read_selection(path):
@@ -313,7 +327,10 @@ def cmd_train(args):
 def cmd_kfold(args):
     data_path = Path(args.data)
     ds = _load_data(data_path)
-    holdout = _load_data(args.holdout) if args.holdout else None
+    holdout = None
+    if args.holdout:
+        holdout = _load_data(args.holdout)
+        _require_both_classes(holdout, args.holdout)
     file_cfg = load_config_file(args.config, KFOLD_SECTIONS) if args.config else {}
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
@@ -409,6 +426,7 @@ def cmd_eval(args):
         parts = dict(zip(("train", "val", "test"),
                          split_by_patient(ds, fracs, seed=split_seed)))
         ds = parts[args.split]
+    _require_both_classes(ds, f"{args.data} ({args.split} split)" if args.split else args.data)
     _check_compat(ensemble, ds)
     report = evaluate(ensemble.predict_records, ds.records,
                       params=sum(m.count_parameters() for m in ensemble.members),

@@ -43,7 +43,7 @@ class ModelConfig:
     max_images: int = 16
     max_notes: int = 32
     seed: int = 0
-    dtype: str = "float64"              # one of DTYPES
+    dtype: str = "float32"              # one of DTYPES; float64 is the reference
 
     def __post_init__(self):
         unknown = set(self.modalities) - set(MODALITY_ORDER)

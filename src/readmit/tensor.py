@@ -592,6 +592,13 @@ def _check_linear(op, x, w, b):
         )
 
 
+def _promoted(arr, *others):
+    """``arr`` cast up to the dtype numpy's promotion gives it beside
+    ``others``, so a float32 product that a float64 operand is added into in
+    place becomes float64, as it would under ``+``; no copy otherwise."""
+    return arr.astype(np.result_type(arr, *others), copy=False)
+
+
 def _linear_grads(x, xf, w, b, gf):
     """Input, weight and bias gradients of ``xf @ w + b`` from the (M, n)
     output gradient ``gf``; ``xf`` is ``x`` with its leading axes flattened."""
@@ -613,7 +620,7 @@ def linear(x, w, b):
     _check_linear("linear", x, w, b)
     k, n = w.shape
     xf = x.data.reshape(-1, k)
-    out = xf @ w.data
+    out = _promoted(xf @ w.data, b.data)
     out += b.data
 
     def backward(g):
@@ -639,7 +646,7 @@ def residual_linear(h, x, w, b, p=0.0, rng=None, rows=None, padded_rows=None):
             f"shape {_fmt(h.shape)}"
         )
     xf = x.data.reshape(-1, k)
-    out = xf @ w.data
+    out = _promoted(xf @ w.data, b.data)
     out += b.data
     dt = out.dtype
     keep = None
@@ -778,11 +785,12 @@ def _recurrent_weights(op, x, ws, us, bs):
     return tuple(np.concatenate([t.data for t in group], axis=-1) for group in (ws, us, bs))
 
 
-def _input_projection(x, W, b):
-    """Time-major (S·B, d_in) input rows and their (S, B, k·d) projections."""
+def _input_projection(x, W, b, U):
+    """Time-major (S·B, d_in) input rows and their (S, B, k·d) projections,
+    in the dtype of the steps' arithmetic, which adds ``h @ U`` to them."""
     B, S, d_in = x.shape
     xt = np.swapaxes(x.data, 0, 1).reshape(S * B, d_in)
-    return xt, (xt @ W + b).reshape(S, B, -1)
+    return xt, _promoted(xt @ W + b, U).reshape(S, B, -1)
 
 
 def _split_accumulate(tensors, g):
@@ -819,7 +827,7 @@ def gru(x, wr, wz, wn, ur, uz, un, br, bz, bn):
     """
     ws, us, bs = (wr, wz, wn), (ur, uz, un), (br, bz, bn)
     W, U, b = _recurrent_weights("gru", x, ws, us, bs)
-    xt, XP = _input_projection(x, W, b)
+    xt, XP = _input_projection(x, W, b, U)
     S, B, _ = XP.shape
     d = U.shape[0]
     H = np.zeros((S + 1, B, d), dtype=XP.dtype)
@@ -870,7 +878,7 @@ def lstm(x, wi, wf, wg, wo, ui, uf, ug, uo, bi, bf, bg, bo):
     # inside, the gates are ordered i, f, o, g so the sigmoids are one block
     ws, us, bs = (wi, wf, wo, wg), (ui, uf, uo, ug), (bi, bf, bo, bg)
     W, U, b = _recurrent_weights("lstm", x, ws, us, bs)
-    xt, XP = _input_projection(x, W, b)
+    xt, XP = _input_projection(x, W, b, U)
     S, B, _ = XP.shape
     d = U.shape[0]
     H = np.zeros((S + 1, B, d), dtype=XP.dtype)
@@ -918,26 +926,38 @@ def grad_check(fn, x, eps=1e-5):
 
     Returns the max over elements of |a - n| / max(|a|, |n|, 1e-8).  ``fn``
     must rebuild its graph on every call (it is re-evaluated 2 * x.size times).
+
+    The check runs in float64 whatever ``x``'s dtype, so an eps step is not
+    lost to float32 rounding: ``x`` holds a float64 copy of its array while
+    ``fn`` runs, and on return holds its own array object again, untouched,
+    with the analytic gradient in ``x.grad`` cast to its dtype.
     """
     if eps <= 0:
         raise ValueError("grad_check eps must be positive")
+    data = x.data
+    x.data = data.astype(np.float64)
     x.requires_grad = True
     x.zero_grad()
-    out = fn(x)
-    out.backward()
-    analytic = x.grad.copy()
+    try:
+        out = fn(x)
+        out.backward()
+        analytic = x.grad.copy()
 
-    flat = x.data.reshape(-1)
-    numeric = np.zeros(flat.size, dtype=np.float64)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = float(fn(x).data)
-        flat[i] = orig - eps
-        fm = float(fn(x).data)
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * eps)
-    numeric = numeric.reshape(x.data.shape)
+        flat = x.data.reshape(-1)
+        numeric = np.zeros(flat.size, dtype=np.float64)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(fn(x).data)
+            flat[i] = orig - eps
+            fm = float(fn(x).data)
+            flat[i] = orig
+            numeric[i] = (fp - fm) / (2.0 * eps)
+    finally:
+        x.data = data
+        if x.grad is not None:
+            x.grad = x.grad.astype(data.dtype, copy=False)
+    numeric = numeric.reshape(data.shape)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -382,19 +382,58 @@ def test_kfold_members_and_report(tmp_path, workspace):
     assert report["ensemble_holdout_auc"] == ev["auc"]
 
 
+def _negatives_only(workspace, tmp_path):
+    """The workspace dataset's label-0 admissions as a file of their own."""
+    lines = [line for line in workspace["data"].read_text().splitlines()
+             if json.loads(line)["label"] == 0]
+    path = tmp_path / "neg.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, len(lines)
+
+
 @pytest.mark.parametrize("holdout,cause", [("empty.jsonl", "dataset is empty"),
-                                           ("missing.jsonl", "does not exist")],
-                         ids=["empty", "missing"])
+                                           ("missing.jsonl", "does not exist"),
+                                           ("neg.jsonl", "AUC needs both classes, got 0 positive")],
+                         ids=["empty", "missing", "one-class"])
 def test_kfold_holdout_is_checked_before_any_fold_trains(tmp_path, workspace, holdout, cause):
     holdout = tmp_path / holdout
     if holdout.name == "empty.jsonl":
         holdout.write_text("")
+    elif holdout.name == "neg.jsonl":
+        holdout, n_neg = _negatives_only(workspace, tmp_path)
+        cause += f" and {n_neg} negative admissions"
     out = tmp_path / "kf"
     r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--k", 2,
                 "--epochs", 1, "--trees", 5, "--holdout", holdout)
     assert r.returncode == 3
     assert str(holdout) in r.stderr and cause in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split", [None, "test"])
+def test_eval_single_class_data_is_a_data_error_naming_the_file(tmp_path, workspace, split):
+    data, _ = _negatives_only(workspace, tmp_path)
+    out = tmp_path / "ev"
+    r = run_cli("eval", "--model", workspace["run"] / "model.json", "--data", data,
+                "--out", out, *(["--split", split] if split else []))
+    assert r.returncode == 3
+    source = f"{data} ({split} split)" if split else str(data)
+    assert f"data error: {source}: AUC needs both classes, got 0 positive and " in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kfold", "eval"])
+def test_empty_input_is_reported_once(tmp_path, workspace, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    if command == "kfold":
+        args = ["kfold", "--data", workspace["data"], "--holdout", empty, "--k", 2]
+    else:
+        args = ["eval", "--model", workspace["run"] / "model.json", "--data", empty]
+    r = run_cli(*args, "--out", tmp_path / "out")
+    assert r.returncode == 3
+    assert "UserWarning" not in r.stderr
+    assert r.stderr.splitlines() == [f"data error: {empty}: dataset is empty"]
 
 
 def _fold_training_records(data, k, seed):

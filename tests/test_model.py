@@ -10,7 +10,7 @@ from readmit import tensor as T
 from readmit.data import SynthConfig, generate_synthetic
 from readmit.errors import ConfigError, DataError
 from readmit.features import fit_tfidf, prepare_bundles
-from readmit.model import (Batch, ModelConfig, ReadmissionModel, attention_pool,
+from readmit.model import (ENCODERS, Batch, ModelConfig, ReadmissionModel, attention_pool,
                            build_parameters, collate, encode_modality,
                            fuse_and_predict, load_model, param_spec,
                            positional_encoding, save_model, _gru_layer, _lstm_layer)
@@ -21,7 +21,7 @@ from readmit.training import LossConfig, focal_loss
 def tiny_config(**kwargs):
     defaults = dict(d_model=4, n_heads=2, ehr_layers=1, notes_layers=1,
                     cxr_layers=1, d_ff=6, dropout=0.0, k_ehr=3,
-                    modalities=("ehr",), seed=0)
+                    modalities=("ehr",), seed=0, dtype="float64")
     defaults.update(kwargs)
     return ModelConfig(**defaults)
 
@@ -208,6 +208,16 @@ def test_forward_batch_matches_single_records():
     batch_logits = model.forward_batch(collate(bundles, cfg.modalities)).data
     solo = np.array([model.forward(b) for b in bundles])
     np.testing.assert_allclose(batch_logits, solo, atol=1e-9)
+
+
+def test_forward_batch_matches_single_records_in_float32():
+    cfg = tiny_config(dtype="float32")
+    model = ReadmissionModel(cfg)
+    bundles = ehr_bundles(5, lengths=[1, 4, 2, 3, 1])
+    batch_logits = model.forward_batch(collate(bundles, cfg.modalities, dtype=np.float32)).data
+    solo = np.array([model.forward(b) for b in bundles])
+    assert batch_logits.dtype == np.float32
+    np.testing.assert_allclose(batch_logits, solo, rtol=1e-5)
 
 
 def test_modality_ablations_run():
@@ -702,6 +712,31 @@ def test_float32_mode_runs_and_roundtrips(tmp_path):
     assert loaded.params["fusion.w1"].data.dtype == np.float32
     np.testing.assert_array_equal(loaded.params["fusion.w1"].data,
                                   model.params["fusion.w1"].data)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_grad_check_is_float64_on_the_float32_parameters_of_a_default_config_model(encoder):
+    """The default dtype is float32; grad_check still meets the float64 bound
+    on every parameter, on a batch collated in that dtype, and hands each one
+    back as the same float32 array."""
+    cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, d_ff=6, dropout=0.0,
+                      k_ehr=3, modalities=("ehr",), encoder=encoder, seed=0)
+    model = ReadmissionModel(cfg)
+    batch = collate(ehr_bundles(2, lengths=[3, 2]), cfg.modalities, dtype=cfg.np_dtype())
+    labels = np.array([1.0, 0.0])
+
+    def loss_fn(_):
+        return focal_loss(model.forward_batch(batch), labels, LossConfig())
+
+    for name, p in model.params.items():
+        if name.endswith(".attn.bk"):       # softmax cancels key shifts: gradient 0
+            continue
+        data = p.data
+        before = data.tobytes()
+        assert data.dtype == np.float32, name
+        model.zero_grad()
+        assert grad_check(loss_fn, p) < 1e-4, name
+        assert p.data is data and p.data.dtype == np.float32 and data.tobytes() == before, name
 
 
 def test_vector_notes_forward():

@@ -324,6 +324,24 @@ def test_grad_check_rejects_bad_eps():
         grad_check(lambda t: t.sum(), leaf([1.0]), eps=0.0)
 
 
+def test_grad_check_runs_in_float64_on_a_float32_leaf():
+    """A float32 leaf is checked on a float64 copy (near 2, float32 rounds an
+    eps step of 1e-5 by up to ~1%) and gets its own array back untouched."""
+    data = (np.random.default_rng(9).normal(size=8) + 2.0).astype(np.float32)
+    before = data.tobytes()
+    x = Tensor(data, requires_grad=True)
+    seen = []
+
+    def fn(t):
+        seen.append(t.data.dtype)
+        return T.tanh(t).sum()
+
+    assert grad_check(fn, x) < 1e-6
+    assert set(seen) == {np.dtype(np.float64)}
+    assert x.data is data and x.data.dtype == np.float32 and data.tobytes() == before
+    assert x.grad.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # remaining ops
 

@@ -257,7 +257,7 @@ def tiny_setup(n=16, seed=0, d=8):
                for _ in range(n)]
     labels = rng.integers(0, 2, size=n)
     cfg = ModelConfig(d_model=16, n_heads=2, ehr_layers=1, d_ff=32, dropout=0.0,
-                      k_ehr=d, modalities=("ehr",), seed=seed)
+                      k_ehr=d, modalities=("ehr",), seed=seed, dtype="float64")
     return bundles, labels, cfg
 
 
@@ -307,6 +307,14 @@ def test_predict_logits_builds_no_graph(monkeypatch):
     assert predict_logits(model, bundles).tobytes() == expected.tobytes()
     assert [out._parents for out in outputs] == [()]
     assert all(p.requires_grad for p in model.params.values())
+
+
+def test_predict_logits_equals_forward_batch_in_float32():
+    bundles, _, cfg = tiny_setup(n=6)
+    model = ReadmissionModel(replace(cfg, dtype="float32"))
+    expected = model.forward_batch(collate(bundles, cfg.modalities, dtype=np.float32)).data
+    assert expected.dtype == np.float32
+    assert predict_logits(model, bundles).tobytes() == expected.astype(np.float64).tobytes()
 
 
 def test_training_holds_one_step_graph_at_a_time(monkeypatch):
@@ -470,6 +478,39 @@ def test_training_batches_match_the_reference_batch_path(monkeypatch, dtype, rat
             assert batch.arrays[mod].dtype == ref.arrays[mod].dtype == np.dtype(dtype)
             assert batch.arrays[mod].tobytes() == ref.arrays[mod].tobytes()
             np.testing.assert_array_equal(batch.masks[mod], ref.masks[mod])
+
+
+def test_default_config_training_step_stays_float32(monkeypatch):
+    """One step of the default dtype on a ragged, noised ehr+notes batch:
+    every node of the loss graph and every parameter gradient is float32
+    (a stray float64 scalar or array would promote the step to float64)."""
+    from readmit import training
+
+    rng = np.random.default_rng(13)
+    bundles = [FeatureBundle(ehr=rng.normal(size=(days, 3)), notes=rng.normal(size=(notes, 1024)))
+               for days, notes in zip([7, 2, 5, 1, 3], [1, 4, 2, 3, 1])]
+    labels = np.array([1, 0, 0, 1, 0])
+    cfg = ModelConfig(d_model=6, n_heads=3, ehr_layers=2, notes_layers=1, d_ff=8,
+                      dropout=0.1, k_ehr=3, modalities=("ehr", "notes"))
+    losses, grads = [], []
+    monkeypatch.setattr(training, "focal_loss", lambda *args: losses.append(focal_loss(*args))
+                        or losses[-1])
+    monkeypatch.setattr(training, "clip_gradients", lambda params, max_norm: grads.append(
+        {name: p.grad.dtype for name, p in params.items()}) or clip_gradients(params, max_norm))
+    train(ReadmissionModel(cfg), bundles, labels, bundles, labels,
+          TrainConfig(epochs=1, batch_size=len(bundles), seed=3))
+
+    assert cfg.dtype == "float32" and len(losses) == len(grads) == 1
+    nodes, stack, seen = [], [losses[0]], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert len(nodes) > 50
+    assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+    assert set(grads[0].values()) == {np.dtype(np.float32)}
 
 
 def test_train_nan_aborts_with_diagnostic():
