@@ -2,9 +2,10 @@
 
 Configuration can come from an INI-style file ([section] key = value) with
 CLI flags taking precedence; ``SETTINGS`` lists both, and a key set by
-neither keeps the default of its config dataclass field.  Every artifact
-embeds a fingerprint of the resolved configuration so eval can detect
-mismatched models and datasets.
+neither keeps the default of its config dataclass field.  Every model and
+report embeds a fingerprint of the resolved configuration and data path.
+Eval does not compare fingerprints: it checks that each member's selection
+fits the dataset's EHR width and that raw note text meets a TF-IDF model.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O.
 """
 
@@ -163,6 +164,19 @@ def _run_configs(settings):
     return ModelConfig(seed=train_cfg.seed, **settings["model"]), train_cfg
 
 
+def _run_fingerprint(model_cfg, train_cfg, data_path, **extra):
+    """Fingerprint of a run's model, train, loss and noise configuration, its
+    data path and the command's own ``extra`` values."""
+    return fingerprint({
+        "model": model_cfg.to_json(),
+        "train": {k: v for k, v in vars(train_cfg).items() if k not in ("loss", "noise")},
+        "loss": vars(train_cfg.loss),
+        "noise": vars(train_cfg.noise),
+        "data": str(data_path),
+        **extra,
+    })
+
+
 def _set_k_ehr(settings, model_cfg, k, source):
     """Give the model the ``k`` EHR columns the run feeds it; a configured
     ``[model] k_ehr`` that differs is rejected, not replaced."""
@@ -243,7 +257,7 @@ def cmd_select_features(args):
     ds = _load_data(args.data)
     fracs, split_seed = _split_spec(resolve_settings(args, {}))
     train_ds, _, _ = split_by_patient(ds, fracs, seed=split_seed)
-    top_k = args.top_k if args.top_k is not None else min(100, ds.d)
+    top_k = args.top_k if args.top_k is not None else min(ModelConfig.k_ehr, ds.d)
     if top_k > ds.d:
         raise ConfigError(f"--top-k {top_k} exceeds EHR feature count {ds.d}")
     sel = forest_selection(train_ds.records, top_k, args.trees, _default_seed(args.seed),
@@ -282,14 +296,8 @@ def cmd_train(args):
     tb, tl = prepare_bundles(train_ds.records, model_cfg.modalities, selection, tfidf, **caps)
     vb, vl = prepare_bundles(val_ds.records, model_cfg.modalities, selection, tfidf, **caps)
 
-    fp = fingerprint({
-        "model": model_cfg.to_json(),
-        "train": {k: v for k, v in vars(train_cfg).items() if k not in ("loss", "noise")},
-        "loss": vars(train_cfg.loss),
-        "noise": vars(train_cfg.noise),
-        "split": {"fractions": list(fracs), "seed": split_seed},
-        "data": str(data_path),
-    })
+    fp = _run_fingerprint(model_cfg, train_cfg, data_path,
+                          split={"fractions": list(fracs), "seed": split_seed})
 
     model = ReadmissionModel(model_cfg)
     result = train(model, tb, tl, vb, vl, train_cfg)
@@ -349,7 +357,7 @@ def cmd_kfold(args):
                 f"model.k_ehr = {configured}, but {data_path} has {ds.d} EHR features")
         model_cfg.k_ehr = min(model_cfg.k_ehr, ds.d)
 
-    fp = fingerprint({"model": model_cfg.to_json(), "k": args.k, "seed": train_cfg.seed})
+    fp = _run_fingerprint(model_cfg, train_cfg, data_path, k=args.k, trees=args.trees)
     started = time.perf_counter()
     ensemble = kfold_train(ds.records, model_cfg, train_cfg, k=args.k,
                            fold_seed=train_cfg.seed, selection=selection,
@@ -485,6 +493,7 @@ def build_parser():
     p.add_argument("--selection", default=None)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--holdout", default=None, help="dataset file for ensemble evaluation")
+    p.add_argument("--jobs", type=int, default=1, help="folds trained in parallel")
     p.set_defaults(func=cmd_kfold)
 
     p = sub.add_parser("eval", help="evaluate a saved model or ensemble directory")
@@ -504,7 +513,6 @@ def _add_train_flags(p, sections=None):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="INI config file")
     _add_setting_flags(p, sections)
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def _add_setting_flags(p, sections=None):

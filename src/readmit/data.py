@@ -71,18 +71,15 @@ class Dataset:
         }
 
 
-def validate_record(rec, expected_d=None):
+def validate_record(rec):
     """Check all AdmissionRecord invariants; returns a list of error strings."""
     errors = []
     ehr = rec.ehr
     if ehr.ndim != 2 or ehr.shape[0] < 1:
         errors.append(f"ehr must be a non-empty 2-D matrix, got shape {ehr.shape}")
-    else:
-        if expected_d is not None and ehr.shape[1] != expected_d:
-            errors.append(f"ehr column count {ehr.shape[1]} != {expected_d}")
-        if not np.isfinite(ehr).all():
-            bad = np.argwhere(~np.isfinite(ehr))[0]
-            errors.append(f"ehr contains non-finite value at row {bad[0]}, col {bad[1]}")
+    elif not np.isfinite(ehr).all():
+        bad = np.argwhere(~np.isfinite(ehr))[0]
+        errors.append(f"ehr contains non-finite value at row {bad[0]}, col {bad[1]}")
 
     cxr = rec.cxr
     if cxr.size:

@@ -23,6 +23,7 @@ so `x <= threshold` is exactly the scored partition.
 import re
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,19 +59,17 @@ class TfidfModel:
         )
 
 
-def fit_tfidf(corpus, max_dim=NOTES_DIM):
+def fit_tfidf(corpus):
     """Fit vocabulary and idf weights on a corpus of documents."""
     if not corpus:
         raise DataError("cannot fit TF-IDF on an empty corpus")
-    if max_dim < 1 or max_dim > NOTES_DIM:
-        raise ConfigError(f"max_dim must be in [1, {NOTES_DIM}], got {max_dim}")
     df = {}
     for doc in corpus:
         for term in set(tokenize(doc)):
             df[term] = df.get(term, 0) + 1
     if not df:
         raise DataError("empty vocabulary: no tokens found in corpus")
-    ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[:max_dim]
+    ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[:NOTES_DIM]
     vocabulary = [term for term, _ in ranked]
     n = len(corpus)
     idf = np.array([np.log((1.0 + n) / (1.0 + df[t])) + 1.0 for t in vocabulary])
@@ -134,8 +133,6 @@ class Tree:
 @dataclass
 class Forest:
     trees: list
-    n_features: int
-    seed: int
 
     def predict_proba(self, X):
         return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
@@ -202,13 +199,13 @@ def _grow_tree(X, y, ranks, rng, oob_mask):
     return Tree(*map(np.array, zip(*nodes)), importance=importance, oob_mask=oob_mask)
 
 
-def _fit_trees(X, y, seed, start, stop):
-    """Trees start..stop-1; tree i draws only from its own (seed, i) stream."""
+def _fit_trees(X, y, seed, indices):
+    """The trees of ``indices``; tree i draws only from its own (seed, i) stream."""
     trees = []
     m = X.shape[0]
     ranks = np.array([np.unique(col, return_inverse=True)[1] for col in X.T],
                      dtype=np.min_scalar_type(m))
-    for i in range(start, stop):
+    for i in indices:
         rng = np.random.default_rng([seed, i])
         boot = rng.integers(0, m, size=m)
         oob = np.ones(m, dtype=bool)
@@ -218,34 +215,34 @@ def _fit_trees(X, y, seed, start, stop):
 
 
 def train_random_forest(X, y, n_trees=100, seed=0, jobs=1):
-    """Fit a bootstrap forest; deterministic given (X, y, seed) for any jobs."""
+    """Fit a bootstrap forest; deterministic given (X, y, seed) for any jobs.
+    Each worker fits one contiguous range of trees, so X and y are sent once."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[0] < 2:
         raise DataError(f"need at least 2 samples to fit a forest, got {X.shape[0]}")
     if y.min() == y.max():
         raise DataError("degenerate labels: only one class present")
+    jobs = max(jobs, 1)
+    ranges = [range(n_trees * w // jobs, n_trees * (w + 1) // jobs) for w in range(jobs)]
+    parts = process_map(partial(_fit_trees, X, y, seed), ranges, jobs, f"{n_trees} trees")
+    return Forest(trees=[t for part in parts for t in part])
+
+
+def process_map(fn, args, jobs, what):
+    """``[fn(a) for a in args]``, on ``jobs`` worker processes when jobs > 1.
+    If the pool cannot start, warn and run the calls in order; ``what``
+    names the calls in the warning."""
     if jobs > 1:
-        trees = _parallel_trees(X, y, n_trees, seed, jobs)
-    else:
-        trees = _fit_trees(X, y, seed, 0, n_trees)
-    return Forest(trees=trees, n_features=X.shape[1], seed=seed)
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _parallel_trees(X, y, n_trees, seed, jobs):
-    """One contiguous range of trees per worker, so X and y are sent once each."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [n_trees * w // jobs for w in range(jobs + 1)]
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_fit_trees, X, y, seed, a, b)
-                       for a, b in zip(bounds, bounds[1:])]
-            return [t for f in futures for t in f.result()]
-    except OSError as exc:
-        warnings.warn(f"process pool failed ({exc!r}); fitting {n_trees} trees sequentially",
-                      RuntimeWarning, stacklevel=3)
-        return _fit_trees(X, y, seed, 0, n_trees)
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(fn, args))
+        except OSError as exc:
+            warnings.warn(f"process pool failed ({exc!r}); running {what} sequentially",
+                          RuntimeWarning, stacklevel=3)
+    return [fn(a) for a in args]
 
 
 def oob_accuracy(forest, X, y):
@@ -390,12 +387,9 @@ def _cap(mat, limit, width):
     return mat
 
 
-def prepare_bundles(records, modalities, selection=None, tfidf=None,
-                    max_days=64, max_images=16, max_notes=32):
-    """Bundles plus the label vector for a list of records."""
-    bundles = [
-        build_bundle(r, modalities, selection, tfidf, max_days, max_images, max_notes)
-        for r in records
-    ]
+def prepare_bundles(records, modalities, selection=None, tfidf=None, **caps):
+    """Bundles plus the label vector for a list of records; ``caps`` are
+    ``build_bundle``'s sequence caps, by keyword."""
+    bundles = [build_bundle(r, modalities, selection, tfidf, **caps) for r in records]
     labels = np.array([r.label for r in records], dtype=int)
     return bundles, labels

@@ -15,13 +15,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import CXR_DIM, NOTES_DIM
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
 MODALITY_ORDER = ("ehr", "cxr", "notes")
 ENCODERS = ("transformer", "gru", "lstm")
 DTYPES = ("float64", "float32")
-INPUT_DIMS = {"cxr": 1024, "notes": 1024}
+INPUT_DIMS = {"cxr": CXR_DIM, "notes": NOTES_DIM}
 
 MODEL_FORMAT = "readmit.model"
 MODEL_VERSION = 1
@@ -172,7 +173,6 @@ class Batch:
 
     arrays: dict
     masks: dict
-    size: int
 
 
 def collate(bundles, modalities, dtype=np.float64):
@@ -194,7 +194,7 @@ def collate(bundles, modalities, dtype=np.float64):
             mask[i, : m.shape[0]] = True
         arrays[mod] = arr
         masks[mod] = mask
-    return Batch(arrays=arrays, masks=masks, size=len(bundles))
+    return Batch(arrays=arrays, masks=masks)
 
 
 def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
@@ -243,9 +243,6 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     if isinstance(x, np.ndarray):
         x = Tensor(x)
     mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim == 2:
-        x = T.reshape(x, (1,) + x.shape)
-        mask = mask[None, :]
     if not mask.any(axis=1).all():
         raise DataError(f"{modality}: a sequence has no unmasked positions")
     batch, steps = mask.shape
@@ -271,12 +268,9 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
 
 
 def attention_pool(h, mask, query):
-    """Softmax-weighted pooling over sequence positions with a learned query."""
+    """Softmax-weighted pooling over the positions of (B, S, D) ``h`` with a
+    learned query; returns (B, D)."""
     mask = np.asarray(mask, dtype=bool)
-    squeeze = h.data.ndim == 2
-    if squeeze:
-        h = T.reshape(h, (1,) + h.shape)
-        mask = mask[None, :]
     if not mask.any(axis=1).all():
         raise DataError("attention_pool: a sequence has no unmasked positions")
     scores = T.matmul(h, query)                                    # (B, S, 1)
@@ -284,8 +278,7 @@ def attention_pool(h, mask, query):
     scores = T.add_const(scores, bias)
     weights = T.softmax(scores, axis=-2)
     pooled = T.matmul(T.transpose_last2(weights), h)               # (B, 1, D)
-    out = T.reshape(pooled, (pooled.shape[0], pooled.shape[2]))
-    return T.reshape(out, (out.shape[1],)) if squeeze else out
+    return T.reshape(pooled, (pooled.shape[0], pooled.shape[2]))
 
 
 def fuse_and_predict(pooled, params):

@@ -8,7 +8,6 @@ range over the current batch and is applied to training batches only.
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc
-from .features import forest_selection, notes_tfidf, prepare_bundles
+from .features import forest_selection, notes_tfidf, prepare_bundles, process_map
 from .model import ReadmissionModel, collate
 
 
@@ -25,7 +24,6 @@ class LossConfig:
     alpha: float = 0.25
     gamma: float = 2.0
     smooth: float = 0.1
-    reduction: str = "mean"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -34,8 +32,6 @@ class LossConfig:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 <= self.smooth < 1.0:
             raise ConfigError(f"smooth must be in [0, 1), got {self.smooth}")
-        if self.reduction not in ("mean", "sum", "none"):
-            raise ConfigError(f"unknown reduction {self.reduction!r}")
 
 
 def label_smooth(t, smooth):
@@ -47,8 +43,8 @@ def focal_loss(logits, targets, cfg):
     """Label-smoothing focal loss over a batch of logits.
 
     Steps: smooth the 0/1 targets, take elementwise BCE-with-logits,
-    set p_t = exp(-BCE), weight by alpha * (1 - p_t)^gamma, then reduce.
-    Differentiable with respect to the logits.
+    set p_t = exp(-BCE), weight by alpha * (1 - p_t)^gamma, then average
+    over the batch.  Differentiable with respect to the logits.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != logits.shape:
@@ -65,11 +61,7 @@ def focal_loss(logits, targets, cfg):
         p_t = T.texp(T.neg(bce))
         focus = T.pow_const(T.add_const(T.neg(p_t), 1.0), cfg.gamma)
         weighted = T.scale(T.mul(focus, bce), cfg.alpha)
-    if cfg.reduction == "mean":
-        return weighted.mean()
-    if cfg.reduction == "sum":
-        return weighted.sum()
-    return weighted
+    return weighted.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +86,8 @@ class NoiseSchedule:
             raise ConfigError(f"unknown noise schedule kind {self.kind!r}")
         if self.kind == "linear" and (self.r_initial < 0 or self.r_final < 0):
             raise ConfigError("noise ratios must be >= 0")
+        if self.kind == "linear" and self.warmup is not None and self.warmup < 1:
+            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
         if self.kind == "sinusoidal" and self.period <= 0:
             raise ConfigError("sinusoidal period must be positive")
 
@@ -184,10 +178,6 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
 
 
 def clip_gradients(params, max_norm):
@@ -410,8 +400,9 @@ def patient_folds(records, k, seed=0):
 
 
 def _train_fold(args):
-    """Fold ``fold``'s member state, validation AUC and (selection, tfidf);
-    a selection or TF-IDF not given is fit on the fold's training records."""
+    """Fold ``fold``'s trained member (no gradient buffers), validation AUC and
+    (selection, tfidf); a selection or TF-IDF not given is fit on the fold's
+    training records."""
     (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees) = args
     cfg = replace(model_cfg, seed=model_cfg.seed + fold)
     train_recs = [r for r, f in zip(records, fold_ids) if f != fold]
@@ -424,7 +415,8 @@ def _train_fold(args):
     vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **cfg.caps())
     result = train(ReadmissionModel(cfg), tb, tl, vb, vl,
                    replace(train_cfg, seed=train_cfg.seed + fold))
-    return result.model.get_state(), result.best_val_auc, (selection, tfidf)
+    result.model.zero_grad()
+    return result.model, result.best_val_auc, (selection, tfidf)
 
 
 def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
@@ -438,31 +430,10 @@ def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
     forest seeded with ``train_cfg.seed``.
     """
     fold_ids = patient_folds(records, k, seed=fold_seed)
-    jobs_args = [
-        (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees)
-        for fold in range(k)
-    ]
-    if jobs > 1:
-        results = _parallel_folds(jobs_args, jobs)
-    else:
-        results = [_train_fold(a) for a in jobs_args]
-
-    members = [
-        ReadmissionModel(replace(model_cfg, seed=model_cfg.seed + fold),
-                         params={n: T.Tensor(a, requires_grad=True) for n, a in state.items()})
-        for fold, (state, _, _) in enumerate(results)
-    ]
-    return Ensemble(members=members, fold_val_aucs=[a for _, a, _ in results],
-                    pipelines=[p for _, _, p in results])
-
-
-def _parallel_folds(jobs_args, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_train_fold, jobs_args))
-    except OSError as exc:
-        warnings.warn(f"process pool failed ({exc!r}); training {len(jobs_args)} folds "
-                      "sequentially", RuntimeWarning, stacklevel=3)
-        return [_train_fold(a) for a in jobs_args]
+    results = process_map(
+        _train_fold,
+        [(records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees)
+         for fold in range(k)],
+        jobs, f"{k} folds")
+    members, aucs, pipelines = (list(col) for col in zip(*results))
+    return Ensemble(members=members, fold_val_aucs=aucs, pipelines=pipelines)

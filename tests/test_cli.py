@@ -561,6 +561,30 @@ def test_kfold_jobs_deterministic_members(tmp_path, workspace):
                (outs[1] / f"member_{i:02d}.json").read_bytes()
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("train", ("--no-select",)), ("kfold", ("--k", 2, "--trees", 5)),
+])
+def test_fingerprint_follows_the_training_config(tmp_path, workspace, command, extra):
+    prints = []
+    for epochs in (1, 2):
+        out = tmp_path / f"e{epochs}"
+        r = run_cli(command, "--data", workspace["data"], "--out", out, "--epochs", epochs,
+                    "--seed", 11, *extra)
+        assert r.returncode == 0, r.stderr
+        model = out / ("model.json" if command == "train" else "member_00.json")
+        prints.append(json.loads(model.read_text())["fingerprint"])
+    assert prints[0] != prints[1]
+
+
+def test_train_noise_warmup_zero_rejected_before_any_output(tmp_path, workspace):
+    out = tmp_path / "o"
+    r = run_cli("train", "--data", workspace["data"], "--out", out, "--no-select",
+                "--epochs", 1, "--noise-warmup", 0)
+    assert r.returncode == 2
+    assert "warmup" in r.stderr
+    assert not out.exists()
+
+
 def test_kfold_runtime_nondecreasing_in_k(tmp_path, workspace):
     runtimes = []
     for k in (2, 8):
@@ -720,13 +744,13 @@ def test_help_exits_zero(sub):
 TRAIN_OPTIONS = [
     "--alpha", "--batch-size", "--config", "--cxr-layers", "--d-ff", "--d-model",
     "--data", "--dropout", "--dtype", "--ehr-layers", "--encoder", "--epochs",
-    "--gamma", "--grad-clip", "--heads", "--help", "--jobs", "--lr-max", "--lr-min",
+    "--gamma", "--grad-clip", "--heads", "--help", "--lr-max", "--lr-min",
     "--modalities", "--noise", "--noise-amplitude", "--noise-final",
     "--noise-initial", "--noise-intercept", "--noise-period", "--noise-warmup",
     "--notes-layers", "--out", "--seed", "--selection", "--smooth",
     "--split-fractions", "--split-seed", "--weight-decay", "-h",
 ]
-KFOLD_ONLY = ["--holdout", "--k", "--trees"]
+KFOLD_ONLY = ["--holdout", "--jobs", "--k", "--trees"]
 
 
 @pytest.mark.parametrize("sub,expected", [
@@ -738,6 +762,24 @@ def test_train_and_kfold_offer_exactly_the_pinned_options(sub, expected):
     assert r.returncode == 0
     offered = sorted(set(re.findall(r"(?:^|[\s\[])(--?[a-z][a-z-]*)", r.stdout)))
     assert offered == expected
+
+
+def test_every_flag_is_read_by_its_command():
+    """A flag that is not a SETTINGS key (those go through resolve_settings)
+    must be read as ``args.<dest>`` by its subcommand's function."""
+    import argparse
+    import inspect
+
+    settings = {key for _, key, _ in cli.SETTINGS}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        unread += [f"{name} {action.option_strings[0]}" for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and action.dest not in settings and f"args.{action.dest}" not in source]
+    assert unread == []
 
 
 def test_top_level_help():

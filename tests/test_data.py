@@ -56,11 +56,6 @@ def test_validate_nan_ehr_names_position():
     assert any("row 1" in e and "col 2" in e for e in errs)
 
 
-def test_validate_column_count():
-    errs = validate_record(make_record(d=3), expected_d=5)
-    assert any("3 != 5" in e for e in errs)
-
-
 # ---------------------------------------------------------------------------
 # load / save
 

@@ -477,6 +477,16 @@ def test_build_bundle_text_notes_need_tfidf():
         build_bundle(ds.records[0], ("notes",), tfidf=None)
 
 
+def test_bundle_caps_default_to_the_model_caps():
+    import inspect
+
+    from readmit.model import ModelConfig
+
+    caps = ModelConfig().caps()
+    params = inspect.signature(build_bundle).parameters
+    assert {name: params[name].default for name in caps} == caps
+
+
 def test_prepare_bundles_labels_align():
     ds, _ = generate_synthetic(SynthConfig(n_patients=6, seed=10))
     bundles, labels = prepare_bundles(ds.records, ("ehr",))

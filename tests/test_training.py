@@ -98,21 +98,14 @@ def test_focal_monotone_decreasing_smoothed_below_crossover():
     assert all(a > b for a, b in zip(losses[:-1], losses[1:]))
 
 
-def test_focal_reductions():
+def test_focal_is_the_mean_of_one_element_losses():
     z = np.array([0.3, -1.2, 0.7])
     t = np.array([1.0, 0.0, 1.0])
-    cfg_none = LossConfig(reduction="none")
-    per = focal_loss(logits_of(z), t, cfg_none).data
-    assert per.shape == (3,)
-    total = float(focal_loss(logits_of(z), t, LossConfig(reduction="sum")).data)
-    assert total == pytest.approx(per.sum(), abs=1e-12)
-    mean = float(focal_loss(logits_of(z), t, LossConfig(reduction="mean")).data)
-    assert mean == pytest.approx(per.mean(), abs=1e-12)
-
-
-def test_focal_bad_reduction():
-    with pytest.raises(ConfigError):
-        LossConfig(reduction="median")
+    cfg = LossConfig()
+    batch = focal_loss(logits_of(z), t, cfg).data
+    assert batch.shape == ()
+    each = [float(focal_loss(logits_of([zi]), [ti], cfg).data) for zi, ti in zip(z, t)]
+    assert float(batch) == pytest.approx(np.mean(each), abs=1e-12)
 
 
 def test_focal_shape_mismatch():
@@ -146,6 +139,12 @@ def test_schedule_dispatch():
     assert sched.ratio(50, 100) == pytest.approx(0.1)
     with pytest.raises(ConfigError):
         NoiseSchedule(kind="quadratic")
+
+
+def test_linear_schedule_rejects_warmup_below_one_when_built():
+    with pytest.raises(ConfigError, match="warmup must be >= 1, got 0"):
+        NoiseSchedule(kind="linear", warmup=0)
+    assert NoiseSchedule(kind="sinusoidal", warmup=0).ratio(10, 100) > 0
 
 
 def test_cosine_lr_endpoints():
@@ -606,6 +605,7 @@ def test_kfold_trains_k_members():
     assert len(ensemble.fold_val_aucs) == 3
     seeds = [m.config.seed for m in ensemble.members]
     assert seeds == [0, 1, 2]
+    assert all(p.grad is None for m in ensemble.members for p in m.params.values())
 
 
 def test_kfold_initializes_each_member_once(monkeypatch):
@@ -631,10 +631,16 @@ def test_kfold_pool_failure_warns_and_trains_sequentially(monkeypatch):
     def failing_pool(*args, **kwargs):
         raise OSError("process support unavailable")
 
+    records = synth_records(12, seed=2)
+    model_cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, d_ff=6,
+                            dropout=0.0, k_ehr=50, modalities=("ehr",), seed=5)
+    seq = training.kfold_train(records, model_cfg, quick_train_cfg(epochs=1), k=3, jobs=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", failing_pool)
-    monkeypatch.setattr(training, "_train_fold", lambda args: args * 10)
     with pytest.warns(RuntimeWarning, match="OSError.*3 folds sequentially"):
-        assert training._parallel_folds([1, 2, 3], jobs=2) == [10, 20, 30]
+        par = training.kfold_train(records, model_cfg, quick_train_cfg(epochs=1), k=3, jobs=2)
+    np.testing.assert_array_equal(par.fold_val_aucs, seq.fold_val_aucs)
+    for a, b in zip(seq.members, par.members, strict=True):
+        assert all(a.params[n].data.tobytes() == b.params[n].data.tobytes() for n in a.params)
 
 
 def tiny_ehr_models(*seeds):
