@@ -4,8 +4,10 @@ Configuration can come from an INI-style file ([section] key = value) with
 CLI flags taking precedence; ``SETTINGS`` lists both, and a key set by
 neither keeps the default of its config dataclass field.  Every model and
 report embeds a fingerprint of the resolved configuration and data path.
-Eval does not compare fingerprints: it checks that each member's selection
-fits the dataset's EHR width and that raw note text meets a TF-IDF model.
+Eval does not compare fingerprints and runs no input checks of its own: the
+library names an input a member cannot read (a selection index past the
+dataset's EHR width, an EHR width other than the model's, raw note text
+without a TF-IDF model) as a data error before any report is written.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O.
 """
 
@@ -340,8 +342,6 @@ def cmd_kfold(args):
         holdout = _load_data(args.holdout)
         _require_both_classes(holdout, args.holdout)
     file_cfg = load_config_file(args.config, KFOLD_SECTIONS) if args.config else {}
-    if args.k < 2:
-        raise ConfigError(f"--k must be >= 2, got {args.k}")
 
     settings = resolve_settings(args, file_cfg)
     model_cfg, train_cfg = _run_configs(settings)
@@ -402,30 +402,6 @@ def _load_predictor(model_path):
                     pipelines=[(sel, tfidf) for _, sel, tfidf, _ in loaded]), loaded[0][3]
 
 
-def _check_compat(ensemble, ds):
-    for member, (selection, tfidf) in zip(ensemble.members, ensemble.pipelines):
-        cfg = member.config
-        if "ehr" in cfg.modalities:
-            if selection is not None:
-                bad = [i for i in selection.indices if i >= ds.d]
-                if bad:
-                    raise DataError(
-                        f"fingerprint mismatch: selection indices {bad} out of range "
-                        f"for dataset with {ds.d} EHR features"
-                    )
-            elif cfg.k_ehr != ds.d:
-                raise DataError(
-                    f"fingerprint mismatch: model expects {cfg.k_ehr} EHR features, "
-                    f"dataset has {ds.d}"
-                )
-        if "notes" in cfg.modalities and tfidf is None:
-            if any(r.notes_kind == "text" for r in ds.records):
-                raise DataError(
-                    "fingerprint mismatch: dataset has raw note text but the model "
-                    "carries no TF-IDF vocabulary"
-                )
-
-
 def cmd_eval(args):
     ensemble, fp = _load_predictor(args.model)
     ds = _load_data(args.data)
@@ -435,7 +411,6 @@ def cmd_eval(args):
                          split_by_patient(ds, fracs, seed=split_seed)))
         ds = parts[args.split]
     _require_both_classes(ds, f"{args.data} ({args.split} split)" if args.split else args.data)
-    _check_compat(ensemble, ds)
     report = evaluate(ensemble.predict_records, ds.records,
                       params=sum(m.count_parameters() for m in ensemble.members),
                       fingerprint=fp)

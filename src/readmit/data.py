@@ -286,14 +286,8 @@ class SynthConfig:
 
 
 def _token_frequency(notes, informative):
-    hits = 0
-    total = 0
-    for note in notes:
-        for tok in note.split():
-            total += 1
-            if tok in informative:
-                hits += 1
-    return hits / total if total else 0.0
+    tokens = " ".join(notes).split()
+    return sum(map(informative.__contains__, tokens)) / len(tokens) if tokens else 0.0
 
 
 def synth_logit(rec, meta):
@@ -331,6 +325,7 @@ def generate_synthetic(cfg):
 
     The metadata records everything needed to reconstruct the ground-truth
     logit: informative column indices, informative tokens, weights and bias.
+    Each label is drawn from the sigmoid of ``synth_logit`` under it.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -347,6 +342,13 @@ def generate_synthetic(cfg):
         informative_tokens = []
     inf_set = set(informative_tokens)
     background = [t for t in cfg.vocab if t not in inf_set] or list(cfg.vocab)
+    truth = {
+        "informative_ehr_columns": cols,
+        "informative_tokens": informative_tokens,
+        "w_ehr": cfg.w_ehr if cols else 0.0,
+        "w_notes": cfg.w_notes if informative_tokens else 0.0,
+        "bias": 0.0,
+    }
 
     records = []
     raw_logits = []
@@ -361,11 +363,8 @@ def generate_synthetic(cfg):
             m = int(rng.integers(cfg.note_range[0], cfg.note_range[1] + 1))
 
             ehr = rng.normal(size=(n_days, d))
-            raw = 0.0
             if cols:
-                z_e = rng.normal()
-                ehr[:, cols] += z_e
-                raw += cfg.w_ehr * float(ehr[:, cols].mean())
+                ehr[:, cols] += rng.normal()
 
             notes = []
             if informative_tokens:
@@ -373,21 +372,15 @@ def generate_synthetic(cfg):
                 p_inf = 1.0 / (1.0 + np.exp(-(1.2 * z_t - 0.8)))
             else:
                 p_inf = 0.0
-            hits = 0
-            total = 0
             for _ in range(m):
                 count = int(rng.integers(cfg.tokens_per_note[0], cfg.tokens_per_note[1] + 1))
                 words = []
                 for _ in range(count):
-                    total += 1
                     if informative_tokens and rng.random() < p_inf:
                         words.append(informative_tokens[int(rng.integers(len(informative_tokens)))])
-                        hits += 1
                     else:
                         words.append(background[int(rng.integers(len(background)))])
                 notes.append(" ".join(words))
-            if informative_tokens and total:
-                raw += cfg.w_notes * (hits / total)
 
             cxr = rng.normal(size=(q, CXR_DIM)) if q else np.zeros((0, CXR_DIM))
             records.append(AdmissionRecord(
@@ -399,7 +392,7 @@ def generate_synthetic(cfg):
                 notes_kind="text",
                 label=0,
             ))
-            raw_logits.append(raw)
+            raw_logits.append(synth_logit(records[-1], truth))
             label_draws.append(rng.random())
 
     raw_logits = np.asarray(raw_logits)
@@ -414,10 +407,7 @@ def generate_synthetic(cfg):
         ehr_feature_names=[f"ehr_{i:03d}" for i in range(d)],
     )
     meta = {
-        "informative_ehr_columns": cols,
-        "informative_tokens": informative_tokens,
-        "w_ehr": cfg.w_ehr if cols else 0.0,
-        "w_notes": cfg.w_notes if informative_tokens else 0.0,
+        **truth,
         "bias": float(bias),
         "positive_rate_target": cfg.positive_rate,
         "positive_rate_empirical": float(np.mean([r.label for r in records])),

@@ -304,10 +304,9 @@ def select_top_k(importances, k):
 
 def apply_selection(ehr, sel):
     ehr = np.asarray(ehr)
-    if any(i < 0 or i >= ehr.shape[1] for i in sel.indices):
-        raise DataError(
-            f"selection index out of range for {ehr.shape[1]} EHR columns: {sel.indices}"
-        )
+    bad = [i for i in sel.indices if not 0 <= i < ehr.shape[1]]
+    if bad:
+        raise DataError(f"selection indices {bad} out of range for {ehr.shape[1]} EHR columns")
     return ehr[:, sel.indices]
 
 
@@ -372,7 +371,7 @@ def build_bundle(rec, modalities, selection=None, tfidf=None,
             mat = np.asarray(rec.notes, dtype=float)
         else:
             if tfidf is None:
-                raise ConfigError("notes are raw text but no fitted TF-IDF model was given")
+                raise DataError("notes are raw text but no fitted TF-IDF model was given")
             mat = transform_tfidf(tfidf, list(rec.notes))
         bundle.notes = _cap(mat, max_notes, NOTES_DIM)
     return bundle

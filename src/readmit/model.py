@@ -176,6 +176,10 @@ class Batch:
 
 
 def collate(bundles, modalities, dtype=np.float64):
+    """Pad ``bundles`` into a Batch of ``dtype`` arrays.  The float64 default
+    is the reference precision: gradient checks such as acceptance 1's
+    tolerance hold on float64 batches only, so callers that want the model's
+    precision pass ``config.np_dtype()``."""
     arrays = {}
     masks = {}
     for mod in modalities:
@@ -326,6 +330,10 @@ class ReadmissionModel:
         for mod in self.config.modalities:
             if mod not in batch.arrays:
                 raise DataError(f"batch missing active modality '{mod}'")
+            width, expected = batch.arrays[mod].shape[-1], self.config.input_dim(mod)
+            if width != expected:
+                raise DataError(
+                    f"{mod} inputs have {width} columns; the model takes {expected}")
             h = encode_modality(
                 Tensor(batch.arrays[mod]), batch.masks[mod],
                 self.params, mod, self.config, training=training, rng=rng,

@@ -296,7 +296,7 @@ def train(model, train_bundles, train_labels, val_bundles, val_labels, cfg):
             idx = order[lo:lo + cfg.batch_size]
             # Noise goes on the valid rows only, in float64 before the cast, so
             # padding stays zero and a float32 run draws a float64 run's noise.
-            batch = collate([train_bundles[i] for i in idx], modalities)
+            batch = collate([train_bundles[i] for i in idx], modalities, dtype=np.float64)
             for mod, arr in batch.arrays.items():
                 if ratio:
                     rows = batch.masks[mod]
@@ -370,6 +370,10 @@ class Ensemble:
         gives its model's bits."""
         if not self.members:
             raise ConfigError("ensemble has no members")
+        n_pipelines = len(self.pipelines or ())
+        if n_pipelines != len(self.members):
+            raise ConfigError(
+                f"ensemble has {len(self.members)} members but {n_pipelines} pipelines")
         groups = {}
         for i, (member, (sel, tfidf)) in enumerate(zip(self.members, self.pipelines)):
             cfg = member.config

@@ -543,9 +543,11 @@ def test_split_default_is_one_constant():
 
 
 def test_kfold_k1_rejected(tmp_path, workspace):
-    r = run_cli("kfold", "--data", workspace["data"], "--out", tmp_path / "kf1",
-                "--k", 1, "--epochs", 1)
+    out = tmp_path / "kf1"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--k", 1, "--epochs", 1)
     assert r.returncode == 2
+    assert "K must be >= 2, got 1" in r.stderr
+    assert not out.exists()
 
 
 def test_kfold_jobs_deterministic_members(tmp_path, workspace):
@@ -693,15 +695,57 @@ def test_eval_tampered_model_clean_error(tmp_path, workspace):
     assert "model" in r.stderr
 
 
-def test_eval_fingerprint_mismatch(tmp_path, workspace):
-    other = tmp_path / "narrow.jsonl"
-    r = run_cli("synth", "--out", other, "--patients", 12, "--d-ehr", 8,
-                "--informative-ehr", 2, "--seed", 0)
-    assert r.returncode == 0
-    r = run_cli("eval", "--model", workspace["run"] / "model.json",
-                "--data", other, "--out", tmp_path / "ev")
-    assert r.returncode == 3
-    assert "mismatch" in r.stderr
+def _vector_notes_model(tmp_path):
+    """A notes-only model trained on precomputed note vectors: it carries no
+    TF-IDF vocabulary."""
+    from dataclasses import replace
+
+    from readmit.data import SynthConfig, generate_synthetic, save_dataset
+
+    ds, _ = generate_synthetic(SynthConfig(n_patients=12, positive_rate=0.4, seed=3))
+    rng = np.random.default_rng(3)
+    ds.records = [replace(r, notes=rng.normal(size=(1, 1024)).round(2), notes_kind="vector")
+                  for r in ds.records]
+    data = tmp_path / "vectors.jsonl"
+    save_dataset(ds, data)
+    out = tmp_path / "vec"
+    r = run_cli("train", "--data", data, "--out", out, "--no-select", "--modalities", "notes",
+                "--d-model", 4, "--heads", 1, "--notes-layers", 1, "--d-ff", 4,
+                "--epochs", 1)
+    assert r.returncode == 0, r.stderr
+    return out / "model.json"
+
+
+@pytest.mark.parametrize("cause", ["selection", "width", "tfidf"])
+def test_eval_names_an_input_the_model_cannot_read(tmp_path, workspace, cause):
+    """Eval runs no checks of its own: the library's data error names the
+    cause, exit is 3, and no report directory is written."""
+    data = tmp_path / "narrow.jsonl"
+    r = run_cli("synth", "--out", data, "--patients", 12, "--d-ehr", 8,
+                "--informative-ehr", 2, "--positive-rate", 0.4, "--seed", 0)
+    assert r.returncode == 0, r.stderr
+    if cause == "selection":
+        model = workspace["run"] / "model.json"
+        bad = [i for i in json.loads(workspace["sel"].read_text())["indices"] if i >= 8]
+        assert bad
+        expected = f"selection indices {bad} out of range for 8 EHR columns"
+    elif cause == "width":
+        model = tmp_path / "wide" / "model.json"
+        r = run_cli("train", "--data", workspace["data"], "--out", model.parent,
+                    "--no-select", "--modalities", "ehr", "--d-model", 4, "--heads", 1,
+                    "--ehr-layers", 1, "--d-ff", 4, "--epochs", 1)
+        assert r.returncode == 0, r.stderr
+        expected = "ehr inputs have 8 columns; the model takes 50"
+    else:
+        model = _vector_notes_model(tmp_path)
+        data = workspace["data"]
+        expected = "notes are raw text but no fitted TF-IDF model was given"
+    out = tmp_path / "ev"
+    r = run_cli("eval", "--model", model, "--data", data, "--out", out)
+    assert r.returncode == 3, r.stderr
+    assert expected in r.stderr
+    assert "fingerprint" not in r.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,40 @@ def test_synth_bayes_ceiling():
     assert auc(scores, labels) >= 0.90
 
 
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(),
+    SynthConfig(vocab=["a", "b", "c"], n_informative_tokens=3),
+], ids=["default", "all-informative-vocab"])
+def test_synth_labels_are_drawn_from_synth_logit(monkeypatch, cfg):
+    """The raw logits the bias is calibrated on are synth_logit's, bit for
+    bit, so the metadata's oracle is the logit every label was drawn from;
+    this holds also when every vocabulary token is informative."""
+    from readmit import data
+
+    raws = []
+    calibrate = data._calibrate_bias
+    monkeypatch.setattr(data, "_calibrate_bias",
+                        lambda raw, draws, rate: raws.append(raw) or calibrate(raw, draws, rate))
+    ds, meta = generate_synthetic(cfg)
+    (raw,) = raws
+    oracle = np.array([synth_logit(r, {**meta, "bias": 0.0}) for r in ds.records])
+    assert raw.tobytes() == oracle.tobytes()
+
+
+def test_synth_default_dataset_bytes_are_pinned(tmp_path):
+    """The default-config dataset and metadata keep the bytes they had
+    before the generator drew its labels from synth_logit."""
+    import hashlib
+
+    ds, meta = generate_synthetic(SynthConfig())
+    path = tmp_path / "d.jsonl"
+    save_dataset(ds, path)
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(json.dumps(meta, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "89c1c8016f8d537d858783420fb3accc11395f8be7da77346df669d968e8aeef"
+
+
 def test_synth_no_signal_is_null():
     cfg = SynthConfig(n_patients=400, n_informative_ehr=0, n_informative_tokens=0, seed=2)
     ds, meta = generate_synthetic(cfg)

@@ -407,7 +407,7 @@ def test_apply_selection_projects_columns():
 
 def test_apply_selection_out_of_range():
     sel = select_top_k(np.array([0.5, 0.5, 0.0, 0.0, 0.0]), 5)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"selection indices \[3, 4\] out of range for 3 EHR"):
         apply_selection(np.zeros((2, 3)), sel)
 
 
@@ -473,7 +473,7 @@ def test_build_bundle_inactive_modality_is_none():
 
 def test_build_bundle_text_notes_need_tfidf():
     ds, _ = generate_synthetic(SynthConfig(n_patients=1, seed=9))
-    with pytest.raises(ConfigError, match="TF-IDF"):
+    with pytest.raises(DataError, match="TF-IDF"):
         build_bundle(ds.records[0], ("notes",), tfidf=None)
 
 

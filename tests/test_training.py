@@ -723,3 +723,38 @@ def test_ensemble_empty_errors():
         Ensemble(members=[], fold_val_aucs=[]).predict_bundles(ehr_bundles())
     with pytest.raises(ConfigError):
         Ensemble(members=[], fold_val_aucs=[]).predict_records(synth_records(2))
+
+
+@pytest.mark.parametrize("pipelines", [None, [(None, None)]])
+def test_ensemble_pipelines_must_match_its_members(pipelines):
+    """predict_records names an ensemble whose pipelines do not pair off
+    with its members instead of failing inside zip or np.mean."""
+    ens = Ensemble(tiny_ehr_models(1, 2), [], pipelines)
+    n = 0 if pipelines is None else len(pipelines)
+    with pytest.raises(ConfigError, match=f"ensemble has 2 members but {n} pipelines"):
+        ens.predict_records(synth_records(2))
+
+
+@pytest.mark.parametrize("cause", ["selection", "width", "tfidf"])
+def test_ensemble_names_inputs_a_member_cannot_read(cause):
+    """The library, not the CLI, rejects records a member cannot read, with
+    a data error naming the cause."""
+    from readmit.data import SynthConfig, generate_synthetic
+    from readmit.features import FeatureSelection
+
+    ds, _ = generate_synthetic(SynthConfig(n_patients=3, d_ehr=8, n_informative_ehr=2,
+                                           seed=5))
+    small = dict(d_model=4, n_heads=2, ehr_layers=1, notes_layers=1, d_ff=6, dropout=0.0)
+    pipeline = (None, None)
+    if cause == "selection":
+        cfg = ModelConfig(k_ehr=3, modalities=("ehr",), **small)
+        pipeline = (FeatureSelection(importances=np.ones(12) / 12, indices=[1, 9, 11]), None)
+        cause_text = r"selection indices \[9, 11\] out of range for 8 EHR columns"
+    elif cause == "width":
+        cfg = ModelConfig(k_ehr=50, modalities=("ehr",), **small)
+        cause_text = "ehr inputs have 8 columns; the model takes 50"
+    else:
+        cfg = ModelConfig(modalities=("notes",), **small)
+        cause_text = "notes are raw text but no fitted TF-IDF model was given"
+    with pytest.raises(DataError, match=cause_text):
+        Ensemble([ReadmissionModel(cfg)], [], [pipeline]).predict_records(ds.records)
