@@ -345,6 +345,9 @@ def cmd_kfold(args):
 
     settings = resolve_settings(args, file_cfg)
     model_cfg, train_cfg = _run_configs(settings)
+    if holdout is not None and "ehr" in model_cfg.modalities and holdout.d != ds.d:
+        raise DataError(f"holdout {args.holdout} has {holdout.d} EHR columns, "
+                        f"but {data_path} has {ds.d}")
 
     selection = None
     if args.selection:

@@ -6,18 +6,17 @@ the highest document frequency (ties broken lexicographically) so note
 vectors always have width 1024.
 
 The forest is plain CART with Gini impurity: bootstrap per tree, ceil(sqrt(d))
-candidate features per node, unlimited depth, min_samples_split=2.  Feature
-importances are mean decrease in impurity averaged over trees and normalized
-to sum 1.
+candidate features per node, unlimited depth, min_samples_split=2.  It exists
+only to rank EHR columns, so each tree records nothing but its mean decrease
+in impurity per feature; importances are those averaged over trees and
+normalized to sum 1.
 
 Each tree sorts its bootstrap once per feature (CART presorting).  A split
 partitions those sorted row lists, so a node scores all its candidates with
 one cumsum and no sort.  Only cuts between distinct values are scored, so the
 order of tied rows changes nothing.  Tie rule: in ascending feature order, a
 candidate wins only if its weighted Gini is more than 1e-15 below the best so
-far; within a feature the lowest cut wins.  The threshold is the midpoint of the two values around the cut, or the
-lower value when the midpoint of adjacent floats rounds up to the upper one,
-so `x <= threshold` is exactly the scored partition.
+far; within a feature the lowest cut wins.
 """
 
 import re
@@ -96,68 +95,25 @@ def transform_tfidf(model, notes):
 # random forest
 
 
-def gini(labels):
-    """Binary Gini impurity: 1 - p0^2 - p1^2."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("gini of an empty label set")
-    p1 = labels.mean()
-    return 1.0 - (1.0 - p1) ** 2 - p1 ** 2
-
-
-@dataclass
-class Tree:
-    """A CART tree as flat node arrays, node 0 the root.  A leaf has feature
-    -1; an inner node sends x[feature] <= threshold to left, the rest to right."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    p1: np.ndarray              # share of positives among the node's rows
-    importance: np.ndarray      # unnormalized MDI contributions
-    oob_mask: np.ndarray        # rows never drawn in this tree's bootstrap
-
-    def predict_proba(self, X):
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.arange(X.shape[0])
-        while rows.size:                    # one level per pass
-            f = self.feature[node[rows]]
-            rows, f = rows[f >= 0], f[f >= 0]
-            cur = node[rows]
-            node[rows] = np.where(X[rows, f] <= self.threshold[cur],
-                                  self.left[cur], self.right[cur])
-        return self.p1[node]
-
-
 @dataclass
 class Forest:
-    trees: list
-
-    def predict_proba(self, X):
-        return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
+    trees: list                 # per tree, its unnormalized MDI per feature
 
 
-def _grow_tree(X, y, ranks, rng, oob_mask):
-    """Grow one tree on its bootstrap sample (X, y); ranks (d, m) are X's
-    columns as dense integer ranks, which a stable radix sort orders fast."""
+def _grow_tree(X, y, ranks, rng):
+    """The unnormalized MDI per feature of one tree grown on its bootstrap
+    sample (X, y); ranks (d, m) are X's columns as dense integer ranks, which
+    a stable radix sort orders fast."""
     m, d = X.shape
     k = int(np.ceil(np.sqrt(d)))
     importance = np.zeros(d)
-    nodes = []                  # [feature, threshold, left, right, p1]
-
-    def leaf(pos, n):
-        nodes.append([-1, 0.0, -1, -1, pos / n])
-        return len(nodes) - 1
-
     # A node holds its rows as a (d, n) block: row f lists them in ascending
     # X[:, f].  Every block row holds the same rows, so a child's mask keeps
     # the same count in each and reshapes to (d, n_child).
-    pos = int(y.sum())
-    stack = [(leaf(pos, m), np.argsort(ranks, axis=1, kind="stable"), pos)]
+    stack = [(np.argsort(ranks, axis=1, kind="stable"), int(y.sum()))]
     n_left = np.arange(1.0, m)
     while stack:
-        node, block, pos = stack.pop()
+        block, pos = stack.pop()
         n = block.shape[1]
         if not 0 < pos < n:                 # pure: a leaf, and no draw
             continue
@@ -182,25 +138,20 @@ def _grow_tree(X, y, ranks, rng, oob_mask):
                 best, best_score = j, score
         if best is None or parent - best_score <= 1e-15:
             continue
-        f, i = int(feats[best]), int(at[best])
-        importance[f] += (n / m) * (parent - best_score)
-        lo, hi = xs[best, i], xs[best, i + 1]
-        thr = 0.5 * (lo + hi)
-        if thr == hi:                       # the midpoint rounded up to hi
-            thr = lo
+        i = int(at[best])
+        importance[feats[best]] += (n / m) * (parent - best_score)
         goes_left = np.zeros(m, dtype=bool)
         goes_left[cand[best, :i + 1]] = True
         mask = goes_left[block]
         lpos = int(pos_left[best, i])
-        li, ri = leaf(lpos, i + 1), leaf(pos - lpos, n - i - 1)
-        nodes[node][:4] = f, thr, li, ri
-        stack.append((li, block[mask].reshape(d, i + 1), lpos))
-        stack.append((ri, block[~mask].reshape(d, n - i - 1), pos - lpos))
-    return Tree(*map(np.array, zip(*nodes)), importance=importance, oob_mask=oob_mask)
+        stack.append((block[mask].reshape(d, i + 1), lpos))
+        stack.append((block[~mask].reshape(d, n - i - 1), pos - lpos))
+    return importance
 
 
 def _fit_trees(X, y, seed, indices):
-    """The trees of ``indices``; tree i draws only from its own (seed, i) stream."""
+    """The importances of trees ``indices``; tree i draws only from its own
+    (seed, i) stream."""
     trees = []
     m = X.shape[0]
     ranks = np.array([np.unique(col, return_inverse=True)[1] for col in X.T],
@@ -208,9 +159,7 @@ def _fit_trees(X, y, seed, indices):
     for i in indices:
         rng = np.random.default_rng([seed, i])
         boot = rng.integers(0, m, size=m)
-        oob = np.ones(m, dtype=bool)
-        oob[boot] = False
-        trees.append(_grow_tree(X[boot], y[boot], ranks[:, boot], rng, oob))
+        trees.append(_grow_tree(X[boot], y[boot], ranks[:, boot], rng))
     return trees
 
 
@@ -245,25 +194,9 @@ def process_map(fn, args, jobs, what):
     return [fn(a) for a in args]
 
 
-def oob_accuracy(forest, X, y):
-    """Out-of-bag accuracy: each row scored only by trees that never saw it."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    votes = np.zeros(X.shape[0])
-    counts = np.zeros(X.shape[0])
-    for tree in forest.trees:
-        mask = tree.oob_mask
-        if mask.any():
-            votes[mask] += tree.predict_proba(X[mask])
-            counts[mask] += 1
-    scored = counts > 0
-    preds = (votes[scored] / counts[scored]) >= 0.5
-    return float((preds == y[scored].astype(bool)).mean())
-
-
 def feature_importances(forest):
     """Mean-decrease-in-impurity importances, normalized to sum 1."""
-    total = np.mean([t.importance for t in forest.trees], axis=0)
+    total = np.mean(forest.trees, axis=0)
     s = total.sum()
     return total / s if s > 0 else total
 

@@ -355,7 +355,7 @@ def write_history_csv(history, path):
 class Ensemble:
     members: list                   # ReadmissionModel
     fold_val_aucs: list
-    pipelines: list = None          # (selection, tfidf) per member
+    pipelines: list                 # (selection, tfidf) per member
 
     def predict_bundles(self, bundles):
         """Arithmetic mean of member probabilities, one per bundle."""
@@ -370,7 +370,7 @@ class Ensemble:
         gives its model's bits."""
         if not self.members:
             raise ConfigError("ensemble has no members")
-        n_pipelines = len(self.pipelines or ())
+        n_pipelines = len(self.pipelines)
         if n_pipelines != len(self.members):
             raise ConfigError(
                 f"ensemble has {len(self.members)} members but {n_pipelines} pipelines")

@@ -1,5 +1,6 @@
 """CLI subcommands: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -104,6 +105,19 @@ def test_selection_top_k_too_large_fails_fast(workspace):
                 "--out", workspace["root"] / "bad.json", "--top-k", 51)
     assert r.returncode == 2
     assert "top-k" in r.stderr
+
+
+def test_selection_bytes_are_pinned(tmp_path, workspace):
+    """The workspace's sel.json keeps the bytes it had while the forest still
+    stored each tree's node table, and --jobs 2 writes the same bytes."""
+    pinned = workspace["sel"].read_bytes()
+    assert hashlib.sha256(pinned).hexdigest() == \
+        "951d96f4838b7da800644c99d30ada96e7919659a44b31322a63652786037c32"
+    out = tmp_path / "sel.json"
+    r = run_cli("select-features", "--data", workspace["data"], "--out", out, "--top-k", 10,
+                "--trees", 30, "--seed", 11, "--jobs", 2)
+    assert r.returncode == 0, r.stderr
+    assert out.read_bytes() == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +422,21 @@ def test_kfold_holdout_is_checked_before_any_fold_trains(tmp_path, workspace, ho
     assert r.returncode == 3
     assert str(holdout) in r.stderr and cause in r.stderr
     assert not out.exists()
+
+
+def test_kfold_holdout_of_another_ehr_width_is_rejected_before_any_fold_trains(tmp_path,
+                                                                               workspace):
+    holdout = tmp_path / "narrow.jsonl"
+    r = run_cli("synth", "--out", holdout, "--patients", 12, "--d-ehr", 8,
+                "--positive-rate", 0.5, "--seed", 3)
+    assert r.returncode == 0, r.stderr
+    out = tmp_path / "kf"
+    r = run_cli("kfold", "--data", workspace["data"], "--out", out, "--k", 2,
+                "--epochs", 1, "--trees", 5, "--holdout", holdout)
+    assert r.returncode == 3
+    assert (f"holdout {holdout} has 8 EHR columns, but {workspace['data']} has 50"
+            in r.stderr)
+    assert not list(tmp_path.glob("**/member_*.json"))
 
 
 @pytest.mark.parametrize("split", [None, "test"])

@@ -15,9 +15,8 @@ import readmit
 from readmit.data import SynthConfig, generate_synthetic, split_by_patient
 from readmit.errors import ConfigError, DataError
 from readmit.features import (apply_selection, build_bundle, feature_importances,
-                              fit_tfidf, forest_selection, gini, notes_tfidf,
-                              oob_accuracy, patient_mean_features,
-                              prepare_bundles, select_top_k,
+                              fit_tfidf, forest_selection, notes_tfidf,
+                              patient_mean_features, prepare_bundles, select_top_k,
                               train_random_forest, transform_tfidf)
 
 
@@ -88,21 +87,6 @@ def test_tfidf_batch_equals_rowstack(docs):
 
 
 # ---------------------------------------------------------------------------
-# gini
-
-
-def test_gini_values():
-    assert gini([1, 1, 0, 0]) == pytest.approx(0.5)
-    assert gini([1, 1, 1]) == pytest.approx(0.0)
-    assert gini([1, 0, 0, 0]) == pytest.approx(0.375)
-
-
-def test_gini_empty_errors():
-    with pytest.raises(ValueError):
-        gini([])
-
-
-# ---------------------------------------------------------------------------
 # patient means
 
 
@@ -141,18 +125,29 @@ def separable_data(n=200, seed=0):
     return X, y
 
 
+def _root_impurity(y, seed, tree_index):
+    """The Gini impurity of the bootstrap labels of tree ``tree_index`` of
+    train_random_forest(X, y, seed=seed)."""
+    boot = np.random.default_rng([seed, tree_index]).integers(0, y.size, size=y.size)
+    p1 = y[boot].mean()
+    return 1.0 - p1 ** 2 - (1.0 - p1) ** 2
+
+
 def test_forest_perfectly_separable_training_accuracy():
+    """Each tree grows until its leaves are pure, so it classifies its
+    bootstrap without error, and its importances add up to the whole root
+    impurity."""
     X, y = separable_data()
     forest = train_random_forest(X, y, n_trees=20, seed=0)
-    preds = forest.predict_proba(X) >= 0.5
-    assert (preds == y.astype(bool)).mean() == 1.0
+    for i, tree in enumerate(forest.trees):
+        assert tree.sum() == pytest.approx(_root_impurity(y, 0, i), abs=1e-12)
 
 
 def test_forest_deterministic():
     X, y = separable_data(seed=3)
     a = train_random_forest(X, y, n_trees=10, seed=5)
     b = train_random_forest(X, y, n_trees=10, seed=5)
-    np.testing.assert_array_equal(a.predict_proba(X), b.predict_proba(X))
+    np.testing.assert_array_equal(a.trees, b.trees)
     np.testing.assert_array_equal(feature_importances(a), feature_importances(b))
 
 
@@ -167,11 +162,9 @@ def test_forest_parallel_jobs_deterministic():
     seq = train_random_forest(X, y, n_trees=12, seed=4, jobs=1)
     par = train_random_forest(X, y, n_trees=12, seed=4, jobs=3)
     np.testing.assert_array_equal(feature_importances(seq), feature_importances(par))
-    np.testing.assert_array_equal(seq.predict_proba(X), par.predict_proba(X))
     assert len(seq.trees) == len(par.trees) == 12
     for a, b in zip(seq.trees, par.trees):
-        for name in ("feature", "threshold", "left", "right", "p1", "importance", "oob_mask"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        np.testing.assert_array_equal(a, b)
 
 
 def _sha(*arrays):
@@ -184,44 +177,32 @@ def _train_short_cohort():
     return patient_mean_features(tr)
 
 
-# sha256 of the input (X then y), of feature_importances and of predict_proba
-# on the training rows, recorded with the earlier forest that re-sorted every
-# candidate feature at every node.  The presorted forest must match it byte
+# sha256 of the input (X then y), of feature_importances and of the stacked
+# per-tree importances.  The first was recorded with the earlier forest that
+# re-sorted every candidate feature at every node, the second with the one
+# that still stored each tree's node table.  The forest must match both byte
 # for byte.
 FOREST_PINS = [
     pytest.param(_train_short_cohort, 100, 1,
                  "b147e56f6765c472b7a86547017e930d9198a14cf80524086a8c27846c32025f",
                  "65be4d2f45d28fbd5bb7371f20852373a74285a7095d2c6f70e2447740ef0181",
-                 "6dad86011aaed9f683330b4198f111f65255fbf38e2ae29887c7db6bcb078d48",
+                 "3d7003209abc55b45b4e4b1d9d3feab48646268f36b6754bf440422cf7b72e55",
                  id="train_short_cohort"),
     pytest.param(separable_data, 20, 0,
                  "f861c4bf46e763cd6d6078338b929a87477604d93bf7c4f0d4d6f23df085faaf",
                  "99ba22c8bd8c025a5f844c73e7e9c5596a9bdb6488cca606e025ff565f8ab4ae",
-                 "16556bdafa1efa2feadbb8b32397cf5456b17b7a01e1d2fa874a1ba78d8e3a8e",
+                 "7e061913a27529282d7824958af081c37a4db26236ac9b6764a0d797d9a4f0b9",
                  id="separable_data"),
 ]
 
 
-@pytest.mark.parametrize("make, n_trees, seed, input_sha, imp_sha, probs_sha", FOREST_PINS)
-def test_forest_output_pinned(make, n_trees, seed, input_sha, imp_sha, probs_sha):
+@pytest.mark.parametrize("make, n_trees, seed, input_sha, imp_sha, trees_sha", FOREST_PINS)
+def test_forest_output_pinned(make, n_trees, seed, input_sha, imp_sha, trees_sha):
     X, y = make()
     assert _sha(X, y) == input_sha, "the forest's input changed, not the forest"
     forest = train_random_forest(X, y, n_trees=n_trees, seed=seed)
     assert _sha(feature_importances(forest)) == imp_sha
-    assert _sha(forest.predict_proba(X)) == probs_sha
-
-
-def _rows_per_node(tree, X):
-    counts = np.zeros(tree.feature.size, dtype=int)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        counts[node] = rows.size
-        f = tree.feature[node]
-        if f >= 0:
-            go_left = X[rows, f] <= tree.threshold[node]
-            stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
-    return counts
+    assert _sha(np.stack(forest.trees)) == trees_sha
 
 
 _FIT = """
@@ -236,8 +217,9 @@ train_random_forest(np.array({X}), np.array({y}), n_trees=5, seed=0)
     ([np.nextafter(1.0, 0.0), 1.0, 2.0], [0, 1, 0]),
 ], ids=["pair", "values_above"])
 def test_forest_split_between_adjacent_floats(values, labels):
-    """The midpoint of two adjacent floats rounds to the upper one; the split
-    must then fall at the lower one, or `<= threshold` sends every row left."""
+    """A cut between two adjacent floats must still split the rows: the fit
+    returns, and each tree's splits take the whole root impurity, so its
+    leaves are pure."""
     X = np.array([[v] for v in values] * 10)
     y = np.array(labels * 10)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(readmit.__file__)))
@@ -247,28 +229,23 @@ def test_forest_split_between_adjacent_floats(values, labels):
     except subprocess.TimeoutExpired:
         pytest.fail("the forest fit did not return within 60 s")
     forest = train_random_forest(X, y, n_trees=5, seed=0)
-    for tree in forest.trees:
-        counts = _rows_per_node(tree, X)
-        inner = tree.feature >= 0
-        assert (counts[tree.left[inner]] > 0).all() and (counts[tree.right[inner]] > 0).all()
-        assert 1.0 not in tree.threshold[inner]
-    np.testing.assert_array_equal(forest.predict_proba(X), y)
+    for i, tree in enumerate(forest.trees):
+        assert tree[0] == pytest.approx(_root_impurity(y, 0, i), abs=1e-12)
 
 
 def _reference_tree(X, y, seed, tree_index):
     """Tree `tree_index` of train_random_forest(X, y, seed=seed) grown by the
     earlier per-node loop, which argsorts each candidate afresh at each node.
-    Returns the tree's importances and its probability for each row of X."""
+    Returns the tree's importances."""
     rng = np.random.default_rng([seed, tree_index])
     m, d = X.shape
     boot = rng.integers(0, m, size=m)
     Xb, yb = X[boot], y[boot]
-    importance, proba = np.zeros(d), np.empty(m)
-    stack = [(np.arange(m), np.arange(m))]      # rows of (Xb, X) at a node
+    importance = np.zeros(d)
+    stack = [np.arange(m)]                      # rows of (Xb, yb) at a node
     while stack:
-        idx, rows = stack.pop()
+        idx = stack.pop()
         n, pos = idx.size, yb[idx].sum()
-        proba[rows] = pos / n
         if not 0 < pos < n:
             continue
         best, best_score = None, np.inf
@@ -283,16 +260,16 @@ def _reference_tree(X, y, seed, tree_index):
             weighted[sx[1:] == sx[:-1]] = np.inf
             i = int(np.argmin(weighted))
             if weighted[i] < best_score - 1e-15:
-                best, best_score = (f, sx[i], sx[i + 1]), weighted[i]
-        gain = gini(yb[idx]) - best_score
+                best, best_score = (f, sx[i]), weighted[i]
+        p1 = pos / n
+        gain = 1.0 - (1.0 - p1) ** 2 - p1 ** 2 - best_score
         if best is None or gain <= 1e-15:
             continue
-        f, lo, hi = best
-        thr = lo if 0.5 * (lo + hi) == hi else 0.5 * (lo + hi)
+        f, lo = best
         importance[f] += n / m * gain
-        go, go_rows = Xb[idx, f] <= thr, X[rows, f] <= thr
-        stack += [(idx[go], rows[go_rows]), (idx[~go], rows[~go_rows])]
-    return importance, proba
+        go = Xb[idx, f] <= lo
+        stack += [idx[go], idx[~go]]
+    return importance
 
 
 @settings(max_examples=30, deadline=None)
@@ -305,9 +282,7 @@ def test_forest_matches_per_node_sort_reference(seed, levels):
     y[:2] = [0, 1]
     forest = train_random_forest(X, y, n_trees=3, seed=seed)
     for i, tree in enumerate(forest.trees):
-        importance, proba = _reference_tree(X, y, seed, i)
-        np.testing.assert_array_equal(tree.importance, importance)
-        np.testing.assert_array_equal(tree.predict_proba(X), proba)
+        np.testing.assert_array_equal(tree, _reference_tree(X, y, seed, i))
 
 
 def _failing_pool(*args, **kwargs):
@@ -325,20 +300,20 @@ def test_forest_pool_failure_warns_and_fits_sequentially(monkeypatch):
     np.testing.assert_array_equal(feature_importances(seq), feature_importances(par))
 
 
-def test_forest_oob_on_separable_data():
+def test_forest_importance_goes_to_the_separating_column():
     X, y = separable_data(n=300, seed=1)
     forest = train_random_forest(X, y, n_trees=50, seed=2)
-    assert oob_accuracy(forest, X, y) >= 0.9
+    assert feature_importances(forest)[2] >= 0.9
 
 
-def test_forest_shuffled_labels_oob_near_majority():
-    """Permutation oracle: destroying the signal drops OOB accuracy to chance."""
+def test_forest_shuffled_labels_spread_the_importance():
+    """Permutation oracle: with the signal destroyed, the separating column
+    falls back to about an even share, 1/6 of the importance."""
     X, y = separable_data(n=300, seed=4)
     rng = np.random.default_rng(6)
     y_shuffled = y[rng.permutation(y.size)]
-    forest = train_random_forest(X, y_shuffled, n_trees=50, seed=7)
-    majority = max(y_shuffled.mean(), 1 - y_shuffled.mean())
-    assert abs(oob_accuracy(forest, X, y_shuffled) - majority) <= 0.1
+    imp = feature_importances(train_random_forest(X, y_shuffled, n_trees=50, seed=7))
+    np.testing.assert_allclose(imp, 1 / 6, atol=0.06)
 
 
 # ---------------------------------------------------------------------------

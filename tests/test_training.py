@@ -659,7 +659,7 @@ def test_ensemble_mean_of_probabilities():
     bundles = ehr_bundles()
     p1, p2 = (predict_proba(m, bundles) for m in members)
     assert not np.allclose(p1, p2)
-    ens = Ensemble(members=members, fold_val_aucs=[])
+    ens = Ensemble(members=members, fold_val_aucs=[], pipelines=[(None, None)] * 2)
     np.testing.assert_allclose(ens.predict_bundles(bundles), (p1 + p2) / 2,
                                rtol=0, atol=1e-12)
 
@@ -667,7 +667,7 @@ def test_ensemble_mean_of_probabilities():
 def test_ensemble_single_member_equals_model():
     (member,) = tiny_ehr_models(4)
     bundles = ehr_bundles()
-    ens = Ensemble(members=[member], fold_val_aucs=[])
+    ens = Ensemble(members=[member], fold_val_aucs=[], pipelines=[(None, None)])
     np.testing.assert_allclose(ens.predict_bundles(bundles), predict_proba(member, bundles),
                                rtol=0, atol=1e-12)
 
@@ -720,18 +720,18 @@ def test_ensemble_predict_records_scores_each_member_through_its_own_pipeline(mo
 
 def test_ensemble_empty_errors():
     with pytest.raises(ConfigError):
-        Ensemble(members=[], fold_val_aucs=[]).predict_bundles(ehr_bundles())
+        Ensemble([], [], []).predict_bundles(ehr_bundles())
     with pytest.raises(ConfigError):
-        Ensemble(members=[], fold_val_aucs=[]).predict_records(synth_records(2))
+        Ensemble([], [], []).predict_records(synth_records(2))
 
 
-@pytest.mark.parametrize("pipelines", [None, [(None, None)]])
+@pytest.mark.parametrize("pipelines", [[], [(None, None)]])
 def test_ensemble_pipelines_must_match_its_members(pipelines):
     """predict_records names an ensemble whose pipelines do not pair off
     with its members instead of failing inside zip or np.mean."""
     ens = Ensemble(tiny_ehr_models(1, 2), [], pipelines)
-    n = 0 if pipelines is None else len(pipelines)
-    with pytest.raises(ConfigError, match=f"ensemble has 2 members but {n} pipelines"):
+    with pytest.raises(ConfigError,
+                       match=f"ensemble has 2 members but {len(pipelines)} pipelines"):
         ens.predict_records(synth_records(2))
 
 
