@@ -3,7 +3,9 @@
 Configuration can come from an INI-style file ([section] key = value) with
 CLI flags taking precedence; ``SETTINGS`` lists both, and a key set by
 neither keeps the default of its config dataclass field.  Every model and
-report embeds a fingerprint of the resolved configuration and data path.
+report embeds a fingerprint of the resolved configuration and data content
+(the sha256 of the dataset file's bytes), so the same data under another path
+gives the same fingerprint.
 Eval does not compare fingerprints and runs no input checks of its own: the
 library names an input a member cannot read (a selection index past the
 dataset's EHR width, an EHR width other than the model's, raw note text
@@ -18,14 +20,13 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import (SPLIT_FRACTIONS as SPLIT_DEFAULT, SynthConfig, generate_synthetic,
-                   load_dataset, save_dataset, split_by_patient)
+                   load_dataset, save_dataset, split_by_patient, synth_vocab)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc, evaluate, save_report
 from .features import FeatureSelection, forest_selection, notes_tfidf, prepare_bundles
@@ -167,14 +168,14 @@ def _run_configs(settings):
 
 
 def _run_fingerprint(model_cfg, train_cfg, data_path, **extra):
-    """Fingerprint of a run's model, train, loss and noise configuration, its
-    data path and the command's own ``extra`` values."""
+    """Fingerprint of a run's model, train, loss and noise configuration, the
+    sha256 of its data file's bytes and the command's own ``extra`` values."""
     return fingerprint({
         "model": model_cfg.to_json(),
         "train": {k: v for k, v in vars(train_cfg).items() if k not in ("loss", "noise")},
         "loss": vars(train_cfg.loss),
         "noise": vars(train_cfg.noise),
-        "data": str(data_path),
+        "data": hashlib.sha256(Path(data_path).read_bytes()).hexdigest(),
         **extra,
     })
 
@@ -195,15 +196,18 @@ def _require_file(path, kind):
 
 
 def _load_data(path):
-    """The dataset at ``path``; a missing file or no records is a DataError,
-    reported once: ``load_dataset``'s empty-file warning is silenced."""
-    path = _require_file(path, "dataset")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*: empty dataset$", category=UserWarning)
-        ds = load_dataset(path)
-    if not ds.records:
-        raise DataError(f"{path}: dataset is empty")
-    return ds
+    """The dataset at ``path``; a missing file or no records is a DataError."""
+    return load_dataset(_require_file(path, "dataset"))
+
+
+def _ehr_width(k, name, ds, path):
+    """``k`` EHR columns, else min(ModelConfig.k_ehr, the width of ``ds``); a
+    ``k`` above that width is a ConfigError naming setting ``name``."""
+    if k is None:
+        return min(ModelConfig.k_ehr, ds.d)
+    if k > ds.d:
+        raise ConfigError(f"{name} = {k}, but {path} has {ds.d} EHR features")
+    return k
 
 
 def _require_both_classes(ds, source):
@@ -231,17 +235,15 @@ def _read_selection(path):
 
 
 def cmd_synth(args):
-    seed = _default_seed(args.seed)
-    vocab = [f"term{i:03d}" for i in range(args.vocab_size)]
     cfg = SynthConfig(
         n_patients=args.patients,
         admissions_per_patient=tuple(int(x) for x in args.admissions.split(",")),
         d_ehr=args.d_ehr,
         n_informative_ehr=args.informative_ehr,
-        vocab=vocab,
+        vocab=synth_vocab(args.vocab_size),
         n_informative_tokens=args.informative_tokens,
         positive_rate=args.positive_rate,
-        seed=seed,
+        seed=_default_seed(args.seed),
     )
     ds, meta = generate_synthetic(cfg)
     out = Path(args.out)
@@ -249,9 +251,8 @@ def cmd_synth(args):
     save_dataset(ds, out)
     with open(f"{out}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
-    counts = ds.meta()
-    print(f"wrote {out}: {counts['admissions']} admissions, "
-          f"{counts['patients']} patients, {counts['positives']} positives")
+    print(f"wrote {out}: {ds.n_admissions} admissions, "
+          f"{ds.n_patients} patients, {ds.n_positive} positives")
     return 0
 
 
@@ -259,9 +260,7 @@ def cmd_select_features(args):
     ds = _load_data(args.data)
     fracs, split_seed = _split_spec(resolve_settings(args, {}))
     train_ds, _, _ = split_by_patient(ds, fracs, seed=split_seed)
-    top_k = args.top_k if args.top_k is not None else min(ModelConfig.k_ehr, ds.d)
-    if top_k > ds.d:
-        raise ConfigError(f"--top-k {top_k} exceeds EHR feature count {ds.d}")
+    top_k = _ehr_width(args.top_k, "--top-k", ds, args.data)
     sel = forest_selection(train_ds.records, top_k, args.trees, _default_seed(args.seed),
                            args.jobs)
     out = Path(args.out)
@@ -354,11 +353,7 @@ def cmd_kfold(args):
         selection = _read_selection(args.selection)
         _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
     elif "ehr" in model_cfg.modalities:
-        configured = settings["model"].get("k_ehr")
-        if configured is not None and configured > ds.d:
-            raise ConfigError(
-                f"model.k_ehr = {configured}, but {data_path} has {ds.d} EHR features")
-        model_cfg.k_ehr = min(model_cfg.k_ehr, ds.d)
+        model_cfg.k_ehr = _ehr_width(settings["model"].get("k_ehr"), "model.k_ehr", ds, data_path)
 
     fp = _run_fingerprint(model_cfg, train_cfg, data_path, k=args.k, trees=args.trees)
     started = time.perf_counter()
@@ -437,13 +432,15 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted signal")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--patients", type=int, default=500)
-    p.add_argument("--admissions", default="1,2", help="min,max admissions per patient")
-    p.add_argument("--d-ehr", type=int, default=50, dest="d_ehr")
-    p.add_argument("--informative-ehr", type=int, default=5, dest="informative_ehr")
-    p.add_argument("--vocab-size", type=int, default=200, dest="vocab_size")
-    p.add_argument("--informative-tokens", type=int, default=5, dest="informative_tokens")
-    p.add_argument("--positive-rate", type=float, default=0.17, dest="positive_rate")
+    synth = SynthConfig()
+    p.add_argument("--patients", type=int, default=synth.n_patients)
+    p.add_argument("--admissions", default=",".join(map(str, synth.admissions_per_patient)),
+                   help="min,max admissions per patient")
+    p.add_argument("--d-ehr", type=int, default=synth.d_ehr)
+    p.add_argument("--informative-ehr", type=int, default=synth.n_informative_ehr)
+    p.add_argument("--vocab-size", type=int, default=len(synth.vocab))
+    p.add_argument("--informative-tokens", type=int, default=synth.n_informative_tokens)
+    p.add_argument("--positive-rate", type=float, default=synth.positive_rate)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
@@ -451,7 +448,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="selection JSON path")
     p.add_argument("--top-k", type=int, default=None, dest="top_k",
-                   help="number of features to keep (default: min(100, d))")
+                   help=f"number of features to keep (default: min({ModelConfig.k_ehr}, d))")
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)

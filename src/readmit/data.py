@@ -15,7 +15,6 @@ can be verified against ground truth.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,13 +61,6 @@ class Dataset:
     def d(self):
         """EHR feature count, or None for an empty dataset."""
         return self.records[0].ehr.shape[1] if self.records else None
-
-    def meta(self):
-        return {
-            "admissions": self.n_admissions,
-            "patients": self.n_patients,
-            "positives": self.n_positive,
-        }
 
 
 def validate_record(rec):
@@ -150,7 +142,7 @@ def load_dataset(path):
 
     Malformed JSON aborts immediately with the offending line number;
     per-record invariant violations are collected across the whole file and
-    reported together.  An empty file yields an empty Dataset with a warning.
+    reported together.  A file with no records is a DataError naming it.
     """
     records = []
     problems = []
@@ -184,8 +176,7 @@ def load_dataset(path):
     if problems:
         raise DataError(f"{path}: {len(problems)} invalid record(s):\n" + "\n".join(problems))
     if not records:
-        warnings.warn(f"{path}: empty dataset", stacklevel=2)
-        return Dataset(records=[], ehr_feature_names=[])
+        raise DataError(f"{path}: dataset is empty")
     names = [f"ehr_{i:03d}" for i in range(d)]
     return Dataset(records=records, ehr_feature_names=names)
 
@@ -244,6 +235,11 @@ def split_by_patient(ds, fractions=SPLIT_FRACTIONS, seed=0):
 # synthetic data with plantable signal
 
 
+def synth_vocab(size):
+    """The generator's note vocabulary: ``term000``, ``term001``, ..."""
+    return [f"term{i:03d}" for i in range(size)]
+
+
 @dataclass
 class SynthConfig:
     """Knobs for the synthetic generator.
@@ -258,7 +254,7 @@ class SynthConfig:
     admissions_per_patient: tuple = (1, 2)
     d_ehr: int = 50
     n_informative_ehr: int = 5
-    vocab: list = field(default_factory=lambda: [f"term{i:03d}" for i in range(200)])
+    vocab: list = field(default_factory=lambda: synth_vocab(200))
     n_informative_tokens: int = 5
     positive_rate: float = 0.17
     seed: int = 0

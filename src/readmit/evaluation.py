@@ -8,7 +8,7 @@ each other in the test suite.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,18 +55,11 @@ def auc(scores, labels):
 
 def auc_mann_whitney(scores, labels):
     """AUC as (concordant pairs + half ties) / (n_pos * n_neg), via average ranks."""
-    scores = np.asarray(scores, dtype=float)
     labels, n_pos, n_neg = _check_classes(labels)
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    s = scores[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a group of c tied scores ending at 1-based rank e shares rank e - (c - 1) / 2
+    _, group, counts = np.unique(np.asarray(scores, dtype=float), return_inverse=True,
+                                 return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -80,17 +73,6 @@ class EvalReport:
     params: int = None
     seconds_per_epoch: float = None
     fingerprint: str = None
-
-    def to_json(self):
-        return {
-            "auc": self.auc,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "roc_points": [[float(f), float(t)] for f, t in self.roc_points],
-            "params": self.params,
-            "seconds_per_epoch": self.seconds_per_epoch,
-            "fingerprint": self.fingerprint,
-        }
 
 
 def evaluate(score_fn, records, params=None, seconds_per_epoch=None, fingerprint=None):
@@ -118,7 +100,7 @@ def save_report(report, out_dir):
     """Write report.json and roc.csv under ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=2)
+        json.dump(asdict(report), fh, sort_keys=True, indent=2)
     with open(out_dir / "roc.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "tpr"])

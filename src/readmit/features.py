@@ -28,6 +28,7 @@ import numpy as np
 
 from .data import CXR_DIM, NOTES_DIM, Dataset
 from .errors import ConfigError, DataError
+from .model import ModelConfig
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -285,8 +286,8 @@ class FeatureBundle:
         return getattr(self, modality)
 
 
-def build_bundle(rec, modalities, selection=None, tfidf=None,
-                 max_days=64, max_images=16, max_notes=32):
+def build_bundle(rec, modalities, selection=None, tfidf=None, max_days=ModelConfig.max_days,
+                 max_images=ModelConfig.max_images, max_notes=ModelConfig.max_notes):
     """Turn a record into model inputs for the requested modalities.
 
     Sequences are truncated oldest-first to the configured caps.  An active

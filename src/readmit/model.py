@@ -341,11 +341,6 @@ class ReadmissionModel:
             pooled.append(attention_pool(h, batch.masks[mod], self.params[f"{mod}.pool.q"]))
         return fuse_and_predict(pooled, self.params)
 
-    def forward(self, bundle):
-        """Eval-mode logit for a single FeatureBundle."""
-        batch = collate([bundle], self.config.modalities, dtype=self.config.np_dtype())
-        return float(self.frozen().forward_batch(batch).data[0])
-
 
 # ---------------------------------------------------------------------------
 # serialization

@@ -332,13 +332,9 @@ def relu(a):
     return _result(np.maximum(a.data, 0.0), (a,), backward)
 
 
-def _sigmoid_np(x):
-    return expit(x)
-
-
 def sigmoid(a):
     """Elementwise logistic function, stable for large |input|."""
-    out_data = _sigmoid_np(a.data)
+    out_data = expit(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -530,7 +526,7 @@ def bce_with_logits(logits, targets):
 
     def backward(g):
         if logits.requires_grad:
-            _accumulate(logits, g * (_sigmoid_np(z) - t))
+            _accumulate(logits, g * (expit(z) - t))
 
     return _result(out_data, (logits,), backward)
 

@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
@@ -44,7 +45,9 @@ def focal_loss(logits, targets, cfg):
 
     Steps: smooth the 0/1 targets, take elementwise BCE-with-logits,
     set p_t = exp(-BCE), weight by alpha * (1 - p_t)^gamma, then average
-    over the batch.  Differentiable with respect to the logits.
+    over the batch.  Differentiable with respect to the logits.  At gamma 0
+    ``pow_const`` gives a factor of exactly one that passes no gradient, so
+    the loss and its gradient are alpha-scaled BCE's bit for bit.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != logits.shape:
@@ -55,13 +58,9 @@ def focal_loss(logits, targets, cfg):
         raise ConfigError("focal_loss needs at least one element")
     smoothed = label_smooth(targets, cfg.smooth)
     bce = T.bce_with_logits(logits, smoothed)
-    if cfg.gamma == 0.0:
-        weighted = T.scale(bce, cfg.alpha)
-    else:
-        p_t = T.texp(T.neg(bce))
-        focus = T.pow_const(T.add_const(T.neg(p_t), 1.0), cfg.gamma)
-        weighted = T.scale(T.mul(focus, bce), cfg.alpha)
-    return weighted.mean()
+    p_t = T.texp(T.neg(bce))
+    focus = T.pow_const(T.add_const(T.neg(p_t), 1.0), cfg.gamma)
+    return T.scale(T.mul(focus, bce), cfg.alpha).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def predict_logits(model, bundles, batch_size=256):
 
 
 def predict_proba(model, bundles, batch_size=256):
-    return T._sigmoid_np(predict_logits(model, bundles, batch_size))
+    return expit(predict_logits(model, bundles, batch_size))
 
 
 def _train_step(model, opt, batch, labels, cfg, lr, rng):

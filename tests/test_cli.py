@@ -73,6 +73,19 @@ def test_synth_deterministic_bytes(tmp_path):
            (tmp_path / "b.jsonl.meta.json").read_bytes()
 
 
+def test_synth_without_flags_writes_the_synth_config_default_bytes(tmp_path):
+    """Every synth flag defaults to SynthConfig's field, so the output is the
+    dataset and metadata that test_data pins for SynthConfig()."""
+    out = tmp_path / "d.jsonl"
+    r = run_cli("synth", "--out", out, env={"PT_SEED": "0"})
+    assert r.returncode == 0, r.stderr
+    digest = hashlib.sha256(out.read_bytes())
+    meta = json.loads((tmp_path / "d.jsonl.meta.json").read_text())
+    digest.update(json.dumps(meta, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "89c1c8016f8d537d858783420fb3accc11395f8be7da77346df669d968e8aeef"
+
+
 def test_synth_positive_rate(tmp_path):
     out = tmp_path / "r.jsonl"
     r = run_cli("synth", "--out", out, "--patients", 300, "--positive-rate", 0.17,
@@ -605,6 +618,29 @@ def test_fingerprint_follows_the_training_config(tmp_path, workspace, command, e
         model = out / ("model.json" if command == "train" else "member_00.json")
         prints.append(json.loads(model.read_text())["fingerprint"])
     assert prints[0] != prints[1]
+
+
+def test_fingerprint_follows_the_data_bytes_not_the_path(tmp_path, workspace):
+    """One dataset copied into two directories trains byte-identical models;
+    other data written to the same path changes the fingerprint."""
+    def train_on(data, out):
+        r = run_cli("train", "--data", data, "--out", out, "--no-select", "--epochs", 1,
+                    "--seed", 11)
+        assert r.returncode == 0, r.stderr
+        return (out / "model.json").read_bytes()
+
+    copies = [tmp_path / name / "d.jsonl" for name in ("a", "b")]
+    for data in copies:
+        data.parent.mkdir()
+        data.write_bytes(workspace["data"].read_bytes())
+    models = [train_on(data, tmp_path / f"run_{data.parent.name}") for data in copies]
+    assert models[0] == models[1]
+
+    r = run_cli("synth", "--out", copies[1], "--patients", 80, "--positive-rate", 0.3,
+                "--seed", 12)
+    assert r.returncode == 0, r.stderr
+    regenerated = train_on(copies[1], tmp_path / "run_regenerated")
+    assert json.loads(regenerated)["fingerprint"] != json.loads(models[0])["fingerprint"]
 
 
 def test_train_noise_warmup_zero_rejected_before_any_output(tmp_path, workspace):

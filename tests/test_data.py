@@ -1,6 +1,7 @@
 """Dataset ingestion, patient-grouped splitting, synthetic generation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,12 +61,12 @@ def test_validate_nan_ehr_names_position():
 # load / save
 
 
-def test_load_empty_file_warns(tmp_path):
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["no-bytes", "blank-lines"])
+def test_load_empty_file_is_a_data_error_naming_the_path(tmp_path, text):
     path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.warns(UserWarning, match="empty"):
-        ds = load_dataset(path)
-    assert ds.records == [] and ds.d is None
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: dataset is empty$"):
+        load_dataset(path)
 
 
 def test_load_single_record(tmp_path):

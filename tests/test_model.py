@@ -15,7 +15,7 @@ from readmit.model import (ENCODERS, Batch, ModelConfig, ReadmissionModel, atten
                            fuse_and_predict, load_model, param_spec,
                            positional_encoding, save_model, _gru_layer, _lstm_layer)
 from readmit.tensor import Tensor, grad_check
-from readmit.training import LossConfig, focal_loss
+from readmit.training import LossConfig, focal_loss, predict_logits
 
 
 def tiny_config(**kwargs):
@@ -178,7 +178,7 @@ def test_forward_eval_deterministic():
     cfg = tiny_config()
     model = ReadmissionModel(cfg)
     bundle = ehr_bundles(1)[0]
-    assert model.forward(bundle) == model.forward(bundle)
+    assert predict_logits(model, [bundle])[0] == predict_logits(model, [bundle])[0]
 
 
 def test_forward_sensitive_to_row_order():
@@ -188,8 +188,8 @@ def test_forward_sensitive_to_row_order():
     model = ReadmissionModel(cfg)
     rng = np.random.default_rng(6)
     mat = rng.normal(size=(4, 3))
-    a = model.forward(FeatureBundle(ehr=mat))
-    b = model.forward(FeatureBundle(ehr=mat[::-1].copy()))
+    a = predict_logits(model, [FeatureBundle(ehr=mat)])[0]
+    b = predict_logits(model, [FeatureBundle(ehr=mat[::-1].copy())])[0]
     assert a != b
 
 
@@ -197,7 +197,7 @@ def test_forward_missing_modality_errors():
     cfg = tiny_config(modalities=("ehr", "notes"))
     model = ReadmissionModel(cfg)
     with pytest.raises(DataError, match="notes"):
-        model.forward(ehr_bundles(1)[0])
+        predict_logits(model, ehr_bundles(1))
 
 
 def test_forward_batch_matches_single_records():
@@ -206,7 +206,7 @@ def test_forward_batch_matches_single_records():
     model = ReadmissionModel(cfg)
     bundles = ehr_bundles(5, lengths=[1, 4, 2, 3, 1])
     batch_logits = model.forward_batch(collate(bundles, cfg.modalities)).data
-    solo = np.array([model.forward(b) for b in bundles])
+    solo = np.array([predict_logits(model, [b])[0] for b in bundles])
     np.testing.assert_allclose(batch_logits, solo, atol=1e-9)
 
 
@@ -215,7 +215,7 @@ def test_forward_batch_matches_single_records_in_float32():
     model = ReadmissionModel(cfg)
     bundles = ehr_bundles(5, lengths=[1, 4, 2, 3, 1])
     batch_logits = model.forward_batch(collate(bundles, cfg.modalities, dtype=np.float32)).data
-    solo = np.array([model.forward(b) for b in bundles])
+    solo = np.array([predict_logits(model, [b])[0] for b in bundles])
     assert batch_logits.dtype == np.float32
     np.testing.assert_allclose(batch_logits, solo, rtol=1e-5)
 
@@ -650,7 +650,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     from readmit.features import FeatureBundle
 
     full = FeatureBundle(ehr=bundle.ehr, notes=np.random.default_rng(11).normal(size=(2, 1024)))
-    assert loaded.forward(full) == model.forward(full)
+    assert predict_logits(loaded, [full])[0] == predict_logits(model, [full])[0]
 
 
 def test_load_truncated_file_is_clean_error(tmp_path):
@@ -757,7 +757,7 @@ def test_vector_notes_forward():
     np.testing.assert_array_equal(bundles[0].notes, rec.notes)
     cfg = tiny_config(modalities=("ehr", "notes"))
     model = ReadmissionModel(cfg)
-    assert np.isfinite(model.forward(bundles[0]))
+    assert np.isfinite(predict_logits(model, [bundles[0]])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readmit import tensor as T
 from readmit.errors import ConfigError, DataError, NumericError
 from readmit.features import FeatureBundle
 from readmit.model import ModelConfig, ReadmissionModel, collate
@@ -70,6 +71,25 @@ def test_focal_reduces_to_bce(z, seed):
     cfg = LossConfig(alpha=1.0, gamma=0.0, smooth=0.0)
     loss = focal_loss(logits_of(z), t, cfg)
     assert abs(float(loss.data) - stable_bce(z, t).mean()) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("smooth", [0.0, 0.1])
+def test_focal_gamma_zero_gradient_is_scaled_bce_bit_for_bit(dtype, smooth):
+    """With gamma 0 the focusing factor is exactly one and passes no gradient,
+    so the general path gives alpha-scaled BCE's loss and logit gradient."""
+    rng = np.random.default_rng(4)
+    z = np.concatenate([[0.0, 40.0, -40.0, 800.0], rng.normal(size=12) * 6]).astype(dtype)
+    t = np.concatenate([[1.0, 1.0, 0.0, 1.0], rng.integers(0, 2, size=12)])
+    cfg = LossConfig(alpha=0.25, gamma=0.0, smooth=smooth)
+    focal = Tensor(z, requires_grad=True)
+    loss = focal_loss(focal, t, cfg)
+    loss.backward()
+    ref = Tensor(z, requires_grad=True)
+    ref_loss = T.scale(T.bce_with_logits(ref, label_smooth(t, smooth)), cfg.alpha).mean()
+    ref_loss.backward()
+    assert loss.data.tobytes() == ref_loss.data.tobytes()
+    assert focal.grad.dtype == dtype and focal.grad.tobytes() == ref.grad.tobytes()
 
 
 def test_focal_gradient_random_batch():
