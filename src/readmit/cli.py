@@ -235,9 +235,14 @@ def _read_selection(path):
 
 
 def cmd_synth(args):
+    try:                # SynthConfig checks the count and the range
+        admissions = tuple(int(x) for x in args.admissions.split(","))
+    except ValueError:
+        raise ConfigError(f"--admissions must be two integers 'lo,hi', "
+                          f"got {args.admissions!r}") from None
     cfg = SynthConfig(
         n_patients=args.patients,
-        admissions_per_patient=tuple(int(x) for x in args.admissions.split(",")),
+        admissions_per_patient=admissions,
         d_ehr=args.d_ehr,
         n_informative_ehr=args.informative_ehr,
         vocab=synth_vocab(args.vocab_size),

@@ -279,6 +279,14 @@ class SynthConfig:
             )
         if self.n_patients < 1:
             raise ConfigError("n_patients must be >= 1")
+        for name, least in (("admissions_per_patient", 1), ("day_range", 1),
+                            ("image_range", 0), ("note_range", 0), ("tokens_per_note", 0)):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, (int, np.integer)) for v in pair)):
+                raise ConfigError(f"{name} must be two integers lo,hi, got {pair!r}")
+            if not least <= pair[0] <= pair[1]:
+                raise ConfigError(f"{name} must satisfy {least} <= lo <= hi, got {pair!r}")
 
 
 def _token_frequency(notes, informative):

@@ -11,18 +11,26 @@ only to rank EHR columns, so each tree records nothing but its mean decrease
 in impurity per feature; importances are those averaged over trees and
 normalized to sum 1.
 
-Each tree sorts its bootstrap once per feature (CART presorting).  A split
-partitions those sorted row lists, so a node scores all its candidates with
-one cumsum and no sort.  Only cuts between distinct values are scored, so the
-order of tied rows changes nothing.  Tie rule: in ascending feature order, a
-candidate wins only if its weighted Gini is more than 1e-15 below the best so
-far; within a feature the lowest cut wins.
+The trees grow in lockstep, a batch at a time.  Each round takes the next
+impure node of every unfinished tree in the batch, in that tree's depth-first
+order, and scores all their candidate columns with one set of array ops: a
+stable radix sort on a (node, rank) key orders each node's rows by each of
+its candidates, then one cumsum that restarts at each node gives every cut's
+Gini.  Tree i still draws its bootstrap and each node's candidates from its
+own (seed, i) stream in its own node order, so a tree's importances do not
+depend on the batch it grows in, nor on --jobs.  A batch holds as many trees
+as fit a fixed row budget (_ROW_BUDGET bootstrap rows in all), which bounds
+a round's working set whatever the number of trees.  Only cuts between
+distinct values are scored, so the order of tied rows changes nothing.  Tie
+rule: in ascending feature order, a candidate wins only if its weighted Gini
+is more than 1e-15 below the best so far; within a feature the lowest cut
+wins.
 """
 
 import re
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -42,6 +50,11 @@ class TfidfModel:
     vocabulary: list          # term order defines column index
     idf: np.ndarray
     n_docs_fitted: int
+
+    @cached_property
+    def columns(self):
+        """term -> column index, built once per model."""
+        return {t: i for i, t in enumerate(self.vocabulary)}
 
     def to_json(self):
         return {
@@ -78,11 +91,11 @@ def fit_tfidf(corpus):
 
 def transform_tfidf(model, notes):
     """Vectorize documents to an (m, 1024) matrix of L2-normalized tf-idf rows."""
-    index = {t: i for i, t in enumerate(model.vocabulary)}
+    columns = model.columns
     out = np.zeros((len(notes), NOTES_DIM))
     for row, doc in enumerate(notes):
         for term in tokenize(doc):
-            col = index.get(term)
+            col = columns.get(term)
             if col is not None:
                 out[row, col] += 1.0
         out[row, : len(model.vocabulary)] *= model.idf
@@ -101,66 +114,142 @@ class Forest:
     trees: list                 # per tree, its unnormalized MDI per feature
 
 
-def _grow_tree(X, y, ranks, rng):
-    """The unnormalized MDI per feature of one tree grown on its bootstrap
-    sample (X, y); ranks (d, m) are X's columns as dense integer ranks, which
-    a stable radix sort orders fast."""
-    m, d = X.shape
+# A round scores at most this many rows, summed over its nodes: a batch
+# holds _ROW_BUDGET // m trees of m rows.  A round's (k, rows) float64 arrays
+# then take at most 1 MB each (k = 8), and a (node, rank) key fits 16 bits.
+_ROW_BUDGET = 1 << 14
+
+
+def _grow_trees(ranks, y, rngs):
+    """The unnormalized MDI per feature of each tree that draws from a stream
+    of ``rngs``, grown in lockstep; ranks (d, m) are X's columns as dense
+    integer ranks.
+
+    A node is (rows, pos): its rows of X, bootstrap repeats included, in any
+    order, and its count of positives.  Each round pops the next impure node
+    of every unfinished tree and scores them all at once."""
+    d, m = ranks.shape
     k = int(np.ceil(np.sqrt(d)))
-    importance = np.zeros(d)
-    # A node holds its rows as a (d, n) block: row f lists them in ascending
-    # X[:, f].  Every block row holds the same rows, so a child's mask keeps
-    # the same count in each and reshapes to (d, n_child).
-    stack = [(np.argsort(ranks, axis=1, kind="stable"), int(y.sum()))]
-    n_left = np.arange(1.0, m)
-    while stack:
-        block, pos = stack.pop()
-        n = block.shape[1]
-        if not 0 < pos < n:                 # pure: a leaf, and no draw
-            continue
-        p1 = pos / n
-        parent = 1.0 - (1.0 - p1) ** 2 - p1 ** 2
-        feats = np.sort(rng.choice(d, size=k, replace=False))
-        cand = block[feats]
-        xs = X[cand, feats[:, None]]
-        pos_left = np.cumsum(y[cand], axis=1)[:, :-1].astype(float)
-        nl = n_left[:n - 1]
-        p1l = pos_left / nl
-        p1r = (pos - pos_left) / (n - nl)
-        gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
-        gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
-        weighted = (nl * gini_l + (n - nl) * gini_r) / n
-        weighted[xs[:, 1:] == xs[:, :-1]] = np.inf
-        at = weighted.argmin(axis=1)
+    n_ranks = int(ranks.max()) + 1
+    key_type = np.min_scalar_type(len(rngs) * n_ranks - 1)
+    ranks = ranks.astype(key_type).ravel()      # feature f of row r at f * m + r
+    importance = np.zeros((len(rngs), d))
+    stacks = []
+    for rng in rngs:
+        boot = rng.integers(0, m, size=m)
+        pos = int(y[boot].sum())
+        stacks.append([(boot.astype(np.min_scalar_type(m)), pos)] if 0 < pos < m else [])
+    y = y.astype(float)
+    while True:
+        live = [t for t, stack in enumerate(stacks) if stack]
+        if not live:
+            return list(importance)
+        nodes = [stacks[t].pop() for t in live]
+        # Each tree draws from its own stream in its own depth-first order, so
+        # its draws do not depend on the batch.
+        feats = np.array([rngs[t].choice(d, size=k, replace=False) for t in live])
+        feats.sort(axis=1)
+        sizes = np.array([rows.size for rows, _ in nodes])
+        pos = [p for _, p in nodes]
+        rows = np.concatenate([rows for rows, _ in nodes])
+        starts = np.cumsum(sizes) - sizes
+        ends = starts + sizes - 1
+        seg = np.repeat(np.arange(len(nodes)), sizes)
+        # (k, N) keys node * n_ranks + rank: a stable radix sort turns each
+        # node's rows into one run in ascending rank of its candidate.  Row
+        # by row, np.take gathers much faster than a 2-D fancy index.
+        key = np.empty((k, rows.size), key_type)
+        for j, offset in enumerate(feats.T * m):
+            np.take(ranks, np.repeat(offset, sizes) + rows, out=key[j])
+        key += (seg * n_ranks).astype(key_type)
+        order = np.argsort(key, axis=1, kind="stable")
+        for j in range(k):
+            key[j] = key[j, order[j]]
+        sorted_rows = rows[order]
+        del order
+        weighted = _weighted_gini(y[sorted_rows], pos, sizes, starts, ends)
+        # No cut between tied values nor after a node's last row: those
+        # score 1e300, above any Gini.  (Adding a mask times 1e300 is much
+        # faster than a masked store.)
+        weighted[:, :-1] += (key[:, 1:] == key[:, :-1]) * 1e300
+        weighted[:, ends] = 1e300
+        mins = np.minimum.reduceat(weighted, starts, axis=1)
         # Ascending feature order; a later feature must win by more than 1e-15.
-        best, best_score = None, np.inf
-        for j, score in enumerate(weighted[np.arange(k), at].tolist()):
-            if score < best_score - 1e-15:
-                best, best_score = j, score
-        if best is None or parent - best_score <= 1e-15:
+        best = np.full(len(nodes), -1)
+        best_score = np.full(len(nodes), np.inf)
+        for j, score in enumerate(mins):
+            win = score < best_score - 1e-15
+            best[win] = j
+            best_score[win] = score[win]
+        # In Python floats, whose pow need not round as np.square does.
+        parent = np.array([1.0 - (1.0 - p / n) ** 2 - (p / n) ** 2
+                           for p, n in zip(pos, sizes.tolist())])
+        gain = parent - best_score
+        split = np.flatnonzero(gain > 1e-15)
+        if split.size == 0:
             continue
-        i = int(at[best])
-        importance[feats[best]] += (n / m) * (parent - best_score)
-        goes_left = np.zeros(m, dtype=bool)
-        goes_left[cand[best, :i + 1]] = True
-        mask = goes_left[block]
-        lpos = int(pos_left[best, i])
-        stack.append((block[mask].reshape(d, i + 1), lpos))
-        stack.append((block[~mask].reshape(d, n - i - 1), pos - lpos))
-    return importance
+        importance[np.asarray(live)[split], feats[split, best[split]]] += (
+            sizes[split] / m * gain[split])
+        # A split cuts its winning feature at that feature's first minimum.
+        cols = np.arange(rows.size)
+        win_col = best[seg]
+        at = np.flatnonzero(weighted[win_col, cols] == best_score[seg])
+        cuts = at[np.searchsorted(at, starts[split])] + 1
+        rows = sorted_rows[win_col, cols]
+        y_before = np.concatenate(([0.0], np.cumsum(y[rows])))
+        left_pos = (y_before[cuts] - y_before[starts[split]]).astype(int)
+        for b, cut, lpos in zip(split.tolist(), cuts.tolist(), left_pos.tolist()):
+            lo, hi, rpos = starts[b], ends[b] + 1, pos[b] - lpos
+            if 0 < lpos < cut - lo:
+                stacks[live[b]].append((rows[lo:cut], lpos))
+            if 0 < rpos < hi - cut:
+                stacks[live[b]].append((rows[cut:hi], rpos))
+
+
+def _weighted_gini(y_sorted, pos, sizes, starts, ends):
+    """(k, N) weighted Gini (nl * gini_l + nr * gini_r) / n of the cut after
+    each row, for labels y_sorted in runs of ``sizes`` rows holding ``pos``
+    positives; the cut after a run's last row is no cut and gets junk.
+    Overwrites y_sorted."""
+    pos_left = y_sorted                 # one cumsum that restarts at each run
+    pos_left[:, starts[1:]] -= pos[:-1]
+    np.cumsum(pos_left, axis=1, out=pos_left)
+    nl = np.arange(1.0, pos_left.shape[1] + 1) - np.repeat(starts, sizes)
+    n = np.repeat(sizes.astype(float), sizes)
+    nr = n - nl
+    nr[ends] = 1.0                      # not 0, so no 0 / 0
+    p1 = pos_left / nl
+    weighted = _gini(p1, np.empty_like(p1))
+    weighted *= nl
+    np.subtract(np.repeat(pos, sizes), pos_left, out=pos_left)
+    pos_left /= nr
+    right = _gini(pos_left, p1)
+    right *= nr
+    weighted += right
+    weighted /= n
+    return weighted
+
+
+def _gini(p1, out):
+    """1 - p1 ** 2 - (1 - p1) ** 2 into ``out``; overwrites p1."""
+    np.square(p1, out=out)
+    np.subtract(1.0, out, out=out)
+    np.subtract(1.0, p1, out=p1)
+    np.square(p1, out=p1)
+    out -= p1
+    return out
 
 
 def _fit_trees(X, y, seed, indices):
-    """The importances of trees ``indices``; tree i draws only from its own
-    (seed, i) stream."""
-    trees = []
+    """The importances of trees ``indices``, in batches of at most
+    _ROW_BUDGET rows; tree i draws only from its own (seed, i) stream."""
     m = X.shape[0]
-    ranks = np.array([np.unique(col, return_inverse=True)[1] for col in X.T],
-                     dtype=np.min_scalar_type(m))
-    for i in indices:
-        rng = np.random.default_rng([seed, i])
-        boot = rng.integers(0, m, size=m)
-        trees.append(_grow_tree(X[boot], y[boot], ranks[:, boot], rng))
+    per_batch = max(1, _ROW_BUDGET // m)
+    ranks = np.array([np.unique(col, return_inverse=True)[1] for col in X.T])
+    trees = []
+    for lo in range(0, len(indices), per_batch):
+        rngs = [np.random.default_rng([seed, i]) for i in indices[lo:lo + per_batch]]
+        trees += _grow_trees(ranks, y, rngs)
     return trees
 
 
@@ -173,6 +262,8 @@ def train_random_forest(X, y, n_trees=100, seed=0, jobs=1):
         raise DataError(f"need at least 2 samples to fit a forest, got {X.shape[0]}")
     if y.min() == y.max():
         raise DataError("degenerate labels: only one class present")
+    if np.isnan(X).any():
+        raise DataError("forest input contains NaN")
     jobs = max(jobs, 1)
     ranges = [range(n_trees * w // jobs, n_trees * (w + 1) // jobs) for w in range(jobs)]
     parts = process_map(partial(_fit_trees, X, y, seed), ranges, jobs, f"{n_trees} trees")

@@ -86,6 +86,18 @@ def test_synth_without_flags_writes_the_synth_config_default_bytes(tmp_path):
         "89c1c8016f8d537d858783420fb3accc11395f8be7da77346df669d968e8aeef"
 
 
+@pytest.mark.parametrize("admissions, named", [
+    ("1", "admissions_per_patient"), ("3,1", "admissions_per_patient"),
+    ("0,0", "admissions_per_patient"), ("1,x", "--admissions"),
+])
+def test_synth_bad_admissions_is_a_config_error(tmp_path, admissions, named):
+    out = tmp_path / "d.jsonl"
+    r = run_cli("synth", "--out", out, "--patients", 3, "--admissions", admissions)
+    assert r.returncode == 2, r.stderr
+    assert named in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_synth_positive_rate(tmp_path):
     out = tmp_path / "r.jsonl"
     r = run_cli("synth", "--out", out, "--patients", 300, "--positive-rate", 0.17,

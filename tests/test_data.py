@@ -262,6 +262,23 @@ def test_synth_vocab_too_small():
         generate_synthetic(SynthConfig(vocab=["a", "b"], n_informative_tokens=3))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("admissions_per_patient", (0, 0)), ("admissions_per_patient", (3, 1)),
+    ("admissions_per_patient", (2,)), ("day_range", (0, 0)), ("day_range", (1.0, 3)),
+    ("image_range", (-1, 2)), ("note_range", (2, 1)), ("tokens_per_note", (-1, 0)),
+    ("tokens_per_note", 5),
+])
+def test_synth_range_fields_are_checked(field, value):
+    with pytest.raises(ConfigError, match=field):
+        generate_synthetic(SynthConfig(n_patients=3, **{field: value}))
+
+
+def test_synth_allows_empty_images_notes_and_notes_without_tokens():
+    ds, _ = generate_synthetic(SynthConfig(n_patients=4, image_range=(0, 0),
+                                           note_range=(0, 1), tokens_per_note=(0, 0)))
+    assert all(r.cxr.shape[0] == 0 and set(r.notes) <= {""} for r in ds.records)
+
+
 def test_vector_notes_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     rec = AdmissionRecord(

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import readmit
+from readmit import features
 from readmit.data import SynthConfig, generate_synthetic, split_by_patient
 from readmit.errors import ConfigError, DataError
 from readmit.features import (apply_selection, build_bundle, feature_importances,
@@ -90,6 +92,34 @@ def test_tfidf_batch_equals_rowstack(docs):
 # patient means
 
 
+def _reference_tfidf(model, notes):
+    """A reference transform_tfidf that builds the term -> column map for
+    every call, so for every record."""
+    index = {t: i for i, t in enumerate(model.vocabulary)}
+    out = np.zeros((len(notes), 1024))
+    for row, doc in enumerate(notes):
+        for term in features.tokenize(doc):
+            if term in index:
+                out[row, index[term]] += 1.0
+        out[row, :len(model.vocabulary)] *= model.idf
+        norm = np.linalg.norm(out[row])
+        if norm > 0:
+            out[row] /= norm
+    return out
+
+
+def test_prepare_bundles_notes_match_a_per_record_column_map():
+    """One column map serves every record of every call: the bundles' note
+    rows keep the bytes of a map rebuilt for each record."""
+    ds, _ = generate_synthetic(SynthConfig(n_patients=30, seed=12))
+    tfidf = fit_tfidf([n for r in ds.records[:40] for n in r.notes])
+    for _ in range(2):
+        bundles, _ = prepare_bundles(ds.records, ("notes",), tfidf=tfidf)
+        for rec, b in zip(ds.records, bundles):
+            assert b.notes.tobytes() == _reference_tfidf(tfidf, rec.notes).tobytes()
+    assert tfidf.columns is tfidf.columns
+
+
 def test_patient_mean_features():
     ds, _ = generate_synthetic(SynthConfig(n_patients=3, seed=0))
     X, y = patient_mean_features(ds)
@@ -155,6 +185,15 @@ def test_forest_degenerate_labels():
     X = np.zeros((5, 2))
     with pytest.raises(DataError, match="degenerate"):
         train_random_forest(X, np.ones(5, dtype=int), n_trees=5, seed=0)
+
+
+def test_forest_rejects_nan():
+    """Ranks group every NaN into one value, so the forest names NaN input
+    instead of ranking it."""
+    X, y = separable_data(n=20)
+    X[3, 1] = np.nan
+    with pytest.raises(DataError, match="NaN"):
+        train_random_forest(X, y, n_trees=2, seed=0)
 
 
 def test_forest_parallel_jobs_deterministic():
@@ -283,6 +322,54 @@ def test_forest_matches_per_node_sort_reference(seed, levels):
     forest = train_random_forest(X, y, n_trees=3, seed=seed)
     for i, tree in enumerate(forest.trees):
         np.testing.assert_array_equal(tree, _reference_tree(X, y, seed, i))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), levels=st.integers(2, 6))
+def test_forest_batches_match_per_node_sort_reference(seed, levels):
+    """As above, with a row budget of two trees, so five trees take three
+    batches."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(60, 7)).astype(float)
+    y = (X[:, 0] + rng.integers(0, 2, size=60) >= levels / 2).astype(int)
+    y[:2] = [0, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_ROW_BUDGET", 2 * 60)
+        forest = train_random_forest(X, y, n_trees=5, seed=seed)
+    for i, tree in enumerate(forest.trees):
+        np.testing.assert_array_equal(tree, _reference_tree(X, y, seed, i))
+
+
+def test_forest_tree_importances_do_not_depend_on_the_batch(monkeypatch):
+    """Each tree draws from its own stream, so its importances have the same
+    bytes grown alone, in one batch with every tree, or in a run that the row
+    budget splits into batches of unequal size."""
+    rng = np.random.default_rng(21)
+    X = np.round(rng.normal(size=(1500, 9)), 2)
+    y = (X[:, 0] + X[:, 4] + rng.normal(size=1500) > 0).astype(int)
+    n_trees = 25
+    per_batch = features._ROW_BUDGET // len(y)
+    assert 1 < per_batch < n_trees and n_trees % per_batch
+    runs = [train_random_forest(X, y, n_trees=n_trees, seed=3).trees]
+    for budget in (1, n_trees * len(y)):           # batches of one; one batch
+        monkeypatch.setattr(features, "_ROW_BUDGET", budget)
+        runs.append(train_random_forest(X, y, n_trees=n_trees, seed=3).trees)
+    for split, alone, together in zip(*runs):
+        assert split.tobytes() == alone.tobytes() == together.tobytes()
+
+
+def test_forest_traced_peak_is_bounded_by_the_row_budget():
+    """A round holds a few (k, rows) arrays for at most _ROW_BUDGET rows: on
+    the train_short cohort (512 rows, 100 trees) the traced peak is about
+    4.6 MB, while one batch of all 100 trees peaks at about 17 MB."""
+    X, y = _train_short_cohort()
+    tracemalloc.start()
+    try:
+        train_random_forest(X, y, n_trees=100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def _failing_pool(*args, **kwargs):
