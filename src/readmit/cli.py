@@ -202,7 +202,10 @@ def _load_data(path):
 
 def _ehr_width(k, name, ds, path):
     """``k`` EHR columns, else min(ModelConfig.k_ehr, the width of ``ds``); a
-    ``k`` above that width is a ConfigError naming setting ``name``."""
+    ``k`` above that width is a ConfigError naming setting ``name``, and a
+    ``ds`` with no EHR columns a DataError naming ``path``."""
+    if not ds.d:
+        raise DataError(f"{path} has no EHR columns")
     if k is None:
         return min(ModelConfig.k_ehr, ds.d)
     if k > ds.d:
@@ -293,7 +296,8 @@ def cmd_train(args):
         if selection is not None:
             _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
         else:
-            _set_k_ehr(settings, model_cfg, ds.d, f"--no-select on {data_path}")
+            _set_k_ehr(settings, model_cfg, _ehr_width(ds.d, "--no-select", ds, data_path),
+                       f"--no-select on {data_path}")
     fracs, split_seed = _split_spec(settings)
 
     train_ds, val_ds, test_ds = split_by_patient(ds, fracs, seed=split_seed)

@@ -266,6 +266,11 @@ class SynthConfig:
     tokens_per_note: tuple = (5, 15)
 
     def validate(self):
+        for name in ("d_ehr", "n_informative_ehr", "n_informative_tokens"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.vocab:
+            raise ConfigError("vocab must hold at least one token")
         if self.n_informative_ehr > self.d_ehr:
             raise ConfigError(
                 f"n_informative_ehr ({self.n_informative_ehr}) exceeds d_ehr ({self.d_ehr})"

@@ -260,6 +260,8 @@ def train_random_forest(X, y, n_trees=100, seed=0, jobs=1):
     y = np.asarray(y, dtype=int)
     if X.shape[0] < 2:
         raise DataError(f"need at least 2 samples to fit a forest, got {X.shape[0]}")
+    if X.shape[1] < 1:
+        raise DataError("forest input has no feature columns")
     if y.min() == y.max():
         raise DataError("degenerate labels: only one class present")
     if np.isnan(X).any():

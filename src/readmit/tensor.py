@@ -12,7 +12,10 @@ Conventions:
     as its argument and never refers to its own output, so a graph is freed
     by reference counting as soon as its root is dropped;
   * inference builds no graph: an op whose operands all have
-    ``requires_grad=False`` records neither parents nor a closure;
+    ``requires_grad=False`` records neither parents nor a closure.  A
+    closure thus exists only when a parent requires grad, so a
+    single-parent closure accumulates unconditionally and a multi-parent
+    one checks each operand, forming only the gradients that are needed;
   * ``backward()`` releases every non-leaf ``grad`` once that node's
     closure has run, so calling it twice on one graph adds exactly twice
     the gradient into leaf ``grad`` buffers, which keep accumulating
@@ -252,8 +255,7 @@ def scale(a, s):
     s = float(s)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * s)
+        _accumulate(a, g * s)
 
     return _result(a.data * s, (a,), backward)
 
@@ -267,8 +269,7 @@ def add_const(a, c):
         )
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g, alias=True)
+        _accumulate(a, g, alias=True)
 
     return _result(a.data + c, (a,), backward)
 
@@ -282,8 +283,7 @@ def mul_const(a, c):
         )
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
+        _accumulate(a, g * c)
 
     return _result(a.data * c, (a,), backward)
 
@@ -300,16 +300,14 @@ def texp(a):
     out_data = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data)
+        _accumulate(a, g * out_data)
 
     return _result(out_data, (a,), backward)
 
 
 def tlog(a):
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data)
 
     return _result(np.log(a.data), (a,), backward)
 
@@ -318,16 +316,14 @@ def tanh(a):
     out_data = np.tanh(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - out_data * out_data))
+        _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _result(out_data, (a,), backward)
 
 
 def relu(a):
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (a.data > 0))
 
     return _result(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -337,8 +333,7 @@ def sigmoid(a):
     out_data = expit(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data * (1.0 - out_data))
+        _accumulate(a, g * out_data * (1.0 - out_data))
 
     return _result(out_data, (a,), backward)
 
@@ -350,9 +345,8 @@ def gelu(a):
     out_data = x * cdf
 
     def backward(g):
-        if a.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            _accumulate(a, g * (cdf + x * pdf))
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+        _accumulate(a, g * (cdf + x * pdf))
 
     return _result(out_data, (a,), backward)
 
@@ -364,15 +358,13 @@ def pow_const(a, p):
         out_data = np.ones_like(a.data)
 
         def backward(g):
-            if a.requires_grad:
-                _accumulate(a, np.zeros_like(a.data))
+            _accumulate(a, np.zeros_like(a.data))
 
     else:
         out_data = np.power(a.data, p)
 
         def backward(g):
-            if a.requires_grad:
-                _accumulate(a, g * p * np.power(a.data, p - 1.0))
+            _accumulate(a, g * p * np.power(a.data, p - 1.0))
 
     return _result(out_data, (a,), backward)
 
@@ -383,8 +375,7 @@ def pow_const(a, p):
 
 def sum_all(a):
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, float(g)))
+        _accumulate(a, np.full_like(a.data, float(g)))
 
     return _result(np.asarray(a.data.sum()), (a,), backward)
 
@@ -393,16 +384,14 @@ def mean_all(a):
     n = a.data.size
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, float(g) / n))
+        _accumulate(a, np.full_like(a.data, float(g) / n))
 
     return _result(np.asarray(a.data.mean()), (a,), backward)
 
 
 def reshape(a, shape):
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.shape), alias=True)
+        _accumulate(a, g.reshape(a.shape), alias=True)
 
     return _result(a.data.reshape(shape), (a,), backward)
 
@@ -412,8 +401,7 @@ def transpose_last2(a):
         raise ShapeError(f"transpose_last2 needs ndim >= 2, got {_fmt(a.shape)}")
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, np.swapaxes(g, -1, -2), alias=True)
+        _accumulate(a, np.swapaxes(g, -1, -2), alias=True)
 
     return _result(np.swapaxes(a.data, -1, -2), (a,), backward)
 
@@ -421,10 +409,9 @@ def transpose_last2(a):
 def slice_last(a, lo, hi):
     """Slice along the last axis; gradient scatters back with zero padding."""
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[..., lo:hi] = g
-            _accumulate(a, full)
+        full = np.zeros_like(a.data)
+        full[..., lo:hi] = g
+        _accumulate(a, full)
 
     return _result(a.data[..., lo:hi], (a,), backward)
 
@@ -435,10 +422,9 @@ def slice_steps(a, lo, hi):
         raise ShapeError(f"slice_steps needs ndim >= 2, got {_fmt(a.shape)}")
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[..., lo:hi, :] = g
-            _accumulate(a, full)
+        full = np.zeros_like(a.data)
+        full[..., lo:hi, :] = g
+        _accumulate(a, full)
 
     return _result(a.data[..., lo:hi, :], (a,), backward)
 
@@ -472,8 +458,7 @@ def softmax(a, axis=-1):
 
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        if a.requires_grad:
-            _accumulate(a, (g - dot) * out_data)
+        _accumulate(a, (g - dot) * out_data)
 
     return _result(out_data, (a,), backward)
 
@@ -525,8 +510,7 @@ def bce_with_logits(logits, targets):
     out_data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
     def backward(g):
-        if logits.requires_grad:
-            _accumulate(logits, g * (expit(z) - t))
+        _accumulate(logits, g * (expit(z) - t))
 
     return _result(out_data, (logits,), backward)
 
@@ -563,8 +547,7 @@ def dropout(a, p, rng, rows=None, padded_rows=None):
     dt = a.data.dtype
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * _keep_scale(keep, p, dt))
+        _accumulate(a, g * _keep_scale(keep, p, dt))
 
     return _result(a.data * _keep_scale(keep, p, dt), (a,), backward)
 
@@ -670,10 +653,9 @@ def pack_rows(a, rows):
     width = a.shape[-1]
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros((a.data.size // width, width), dtype=a.data.dtype)
-            full[rows] = g
-            _accumulate(a, full.reshape(a.shape))
+        full = np.zeros((a.data.size // width, width), dtype=a.data.dtype)
+        full[rows] = g
+        _accumulate(a, full.reshape(a.shape))
 
     return _result(a.data.reshape(-1, width)[rows], (a,), backward)
 
@@ -689,8 +671,7 @@ def unpack_rows(a, rows, shape):
     out.reshape(-1, a.shape[1])[rows] = a.data
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(-1, a.shape[1])[rows])
+        _accumulate(a, g.reshape(-1, a.shape[1])[rows])
 
     return _result(out, (a,), backward)
 
@@ -735,8 +716,6 @@ def multi_head_attention(qkv, rows, key_bias, n_heads):
     np.matmul(P, V, out=O.transpose(0, 2, 1, 3))
 
     def backward(g):
-        if not qkv.requires_grad:
-            return
         Q, K, V = padded_heads()        # rebuilt: the node keeps only qkv and P
         gO = np.zeros((B * S, d), dtype=dt)
         gO[rows] = g

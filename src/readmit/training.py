@@ -85,10 +85,7 @@ class NoiseSchedule:
             raise ConfigError(f"unknown noise schedule kind {self.kind!r}")
         if self.kind == "linear" and (self.r_initial < 0 or self.r_final < 0):
             raise ConfigError("noise ratios must be >= 0")
-        if self.kind == "linear" and self.warmup is not None and self.warmup < 1:
-            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
-        if self.kind == "sinusoidal" and self.period <= 0:
-            raise ConfigError("sinusoidal period must be positive")
+        self.ratio(0, 1)                # the closed forms check warmup and period
 
     def ratio(self, epoch, total_epochs):
         if self.kind == "none":
@@ -145,13 +142,11 @@ def cosine_lr(epoch, lr_max, lr_min, total):
 class AdamW:
     """Adam with decoupled weight decay and bias correction."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.01):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3, weight_decay=0.01):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}

@@ -98,6 +98,20 @@ def test_synth_bad_admissions_is_a_config_error(tmp_path, admissions, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--informative-ehr", -1], "n_informative_ehr"),
+    (["--informative-tokens", -2], "n_informative_tokens"),
+    (["--vocab-size", 0, "--informative-tokens", 0], "vocab"),
+    (["--d-ehr", -1, "--informative-ehr", 0], "d_ehr must"),
+])
+def test_synth_bad_count_is_a_config_error_naming_the_field(tmp_path, flags, named):
+    out = tmp_path / "d.jsonl"
+    r = run_cli("synth", "--out", out, "--patients", 3, *flags)
+    assert r.returncode == 2, r.stderr
+    assert named in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_synth_positive_rate(tmp_path):
     out = tmp_path / "r.jsonl"
     r = run_cli("synth", "--out", out, "--patients", 300, "--positive-rate", 0.17,
@@ -760,6 +774,38 @@ def test_empty_dataset_is_a_data_error(tmp_path, workspace, command):
     r = run_cli(command, "--data", empty, *args[command])
     assert r.returncode == 3
     assert str(empty) in r.stderr and "dataset is empty" in r.stderr
+
+
+@pytest.fixture(scope="module")
+def no_ehr_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("no_ehr") / "data.jsonl"
+    r = run_cli("synth", "--out", data, "--patients", 30, "--positive-rate", 0.3,
+                "--d-ehr", 0, "--informative-ehr", 0, "--seed", 5)
+    assert r.returncode == 0, r.stderr
+    return data
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("select-features", []), ("train", ["--no-select"]), ("kfold", ["--k", 2]),
+])
+def test_ehr_on_a_file_without_ehr_columns_is_a_data_error(tmp_path, no_ehr_data,
+                                                          command, flags):
+    out = tmp_path / "out"
+    r = run_cli(command, "--data", no_ehr_data, "--out", out, *flags)
+    assert r.returncode == 3, r.stderr
+    assert f"{no_ehr_data} has no EHR columns" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_notes_only_runs_on_a_file_without_ehr_columns(tmp_path, no_ehr_data):
+    for command, flags in (("train", ["--no-select"]), ("kfold", ["--k", 2])):
+        r = run_cli(command, "--data", no_ehr_data, "--out", tmp_path / command,
+                    "--modalities", "notes", "--epochs", 1, *flags)
+        assert r.returncode == 0, r.stderr
+    for model in (tmp_path / "train" / "model.json", tmp_path / "kfold"):
+        r = run_cli("eval", "--model", model, "--data", no_ehr_data,
+                    "--out", tmp_path / "ev" / model.name)
+        assert r.returncode == 0, r.stderr
 
 
 def test_eval_tampered_model_clean_error(tmp_path, workspace):

@@ -273,6 +273,16 @@ def test_synth_range_fields_are_checked(field, value):
         generate_synthetic(SynthConfig(n_patients=3, **{field: value}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d_ehr", -1), ("n_informative_ehr", -1), ("n_informative_tokens", -2), ("vocab", []),
+])
+def test_synth_counts_and_vocabulary_are_checked(field, value):
+    cfg = SynthConfig(n_patients=3, n_informative_ehr=0, n_informative_tokens=0)
+    setattr(cfg, field, value)
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        generate_synthetic(cfg)
+
+
 def test_synth_allows_empty_images_notes_and_notes_without_tokens():
     ds, _ = generate_synthetic(SynthConfig(n_patients=4, image_range=(0, 0),
                                            note_range=(0, 1), tokens_per_note=(0, 0)))

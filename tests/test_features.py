@@ -187,6 +187,11 @@ def test_forest_degenerate_labels():
         train_random_forest(X, np.ones(5, dtype=int), n_trees=5, seed=0)
 
 
+def test_forest_rejects_input_without_columns():
+    with pytest.raises(DataError, match="no feature columns"):
+        train_random_forest(np.zeros((5, 0)), np.array([0, 1, 0, 1, 1]), n_trees=2, seed=0)
+
+
 def test_forest_rejects_nan():
     """Ranks group every NaN into one value, so the forest names NaN input
     instead of ranking it."""

@@ -244,6 +244,54 @@ def test_no_graph_without_grad_operands():
     assert out._parents == () and out._backward is None and not out.requires_grad
 
 
+# Every op whose node has one parent, applied to a (2, 3) operand of positive
+# values.  Their backward closures accumulate without testing requires_grad.
+SINGLE_PARENT = {
+    "scale": lambda a: T.scale(a, 2.0),
+    "neg": T.neg,
+    "add_const": lambda a: T.add_const(a, 1.0),
+    "mul_const": lambda a: T.mul_const(a, np.array([1.0, 2.0, 3.0])),
+    "texp": T.texp,
+    "tlog": T.tlog,
+    "tanh": T.tanh,
+    "relu": T.relu,
+    "sigmoid": T.sigmoid,
+    "gelu": T.gelu,
+    "pow_const": lambda a: T.pow_const(a, 3.0),
+    "pow_const_zero": lambda a: T.pow_const(a, 0.0),
+    "sum_all": T.sum_all,
+    "mean_all": T.mean_all,
+    "reshape": lambda a: T.reshape(a, (3, 2)),
+    "transpose_last2": T.transpose_last2,
+    "slice_last": lambda a: T.slice_last(a, 1, 3),
+    "slice_steps": lambda a: T.slice_steps(a, 1, 2),
+    "softmax": T.softmax,
+    "bce_with_logits": lambda a: T.bce_with_logits(a, np.full((2, 3), 0.3)),
+    "dropout": lambda a: T.dropout(a, 0.5, np.random.default_rng(3)),
+    "pack_rows": lambda a: T.pack_rows(a, np.array([1])),
+    "unpack_rows": lambda a: T.unpack_rows(a, np.array([0, 2]), (2, 2, 3)),
+    "multi_head_attention": lambda a: T.multi_head_attention(
+        a, np.array([0, 1]), np.zeros((1, 1, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SINGLE_PARENT))
+def test_single_parent_op_has_a_closure_only_for_a_grad_operand(op):
+    fn = SINGLE_PARENT[op]
+    values = np.array([[0.5, 1.5, 2.0], [0.25, 1.0, 3.0]])
+    out = fn(Tensor(values))
+    assert out._parents == () and out._backward is None and not out.requires_grad
+
+    x = leaf(values)
+    out = fn(x)
+    assert out._parents == (x,) and out._backward is not None
+    T.sum_all(out).backward()
+    first = x.grad.copy()
+    assert first.shape == x.shape
+    T.sum_all(fn(x)).backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * first)
+
+
 def test_add_same_operand_twice():
     x = leaf([1.0, -2.0])
     T.sum_all(T.add(x, x)).backward()
