@@ -6,6 +6,8 @@ neither keeps the default of its config dataclass field.  Every model and
 report embeds a fingerprint of the resolved configuration and data content
 (the sha256 of the dataset file's bytes), so the same data under another path
 gives the same fingerprint.
+``train`` owns the split: it records each split's patients in ``splits.json``,
+and ``eval --split`` scores those patients, so eval takes no split settings.
 Eval does not compare fingerprints and runs no input checks of its own: the
 library names an input a member cannot read (a selection index past the
 dataset's EHR width, an EHR width other than the model's, raw note text
@@ -116,19 +118,22 @@ def load_config_file(path, sections=None):
     """Read an INI config file into {(section, key): text}, rejecting unknown
     sections and keys; ``sections``, if given, are the known sections."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        items = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: not a valid config file: {exc}") from exc
     known = {(section, key) for section, key, _ in SETTINGS
              if sections is None or section in sections}
     out = {}
-    for section in parser.sections():
+    for section, values in items.items():
         if section not in {s for s, _ in known}:
             raise ConfigError(f"{path}: unknown config section [{section}]")
-        for key in parser[section]:
+        for key, value in values.items():
             if (section, key) not in known:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            out[(section, key)] = parser[section][key]
+            out[(section, key)] = value
     return out
 
 
@@ -223,14 +228,15 @@ def _require_both_classes(ds, source):
                         f"{n_neg} negative admissions")
 
 
-def _read_selection(path):
-    """The selection at ``path``; a file that is not one is a DataError."""
-    path = _require_file(path, "selection")
+def _read_json(path, kind, parse):
+    """``parse`` of the JSON ``kind`` file at ``path``; a missing file, or one
+    that ``parse`` cannot read, is a DataError naming it."""
+    path = _require_file(path, kind)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return FeatureSelection.from_json(json.load(fh))
+            return parse(json.load(fh))
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: not a valid selection file: {exc!r}") from exc
+        raise DataError(f"{path}: not a valid {kind} file: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +294,7 @@ def cmd_train(args):
     if not args.no_select:
         if not args.selection:
             raise ConfigError("either --selection FILE or --no-select is required")
-        selection = _read_selection(args.selection)
+        selection = _read_json(args.selection, "selection", FeatureSelection.from_json)
 
     settings = resolve_settings(args, file_cfg)
     model_cfg, train_cfg = _run_configs(settings)
@@ -359,7 +365,7 @@ def cmd_kfold(args):
 
     selection = None
     if args.selection:
-        selection = _read_selection(args.selection)
+        selection = _read_json(args.selection, "selection", FeatureSelection.from_json)
         _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
     elif "ehr" in model_cfg.modalities:
         model_cfg.k_ehr = _ehr_width(settings["model"].get("k_ehr"), "model.k_ehr", ds, data_path)
@@ -413,10 +419,10 @@ def cmd_eval(args):
     ensemble, fp = _load_predictor(args.model)
     ds = _load_data(args.data)
     if args.split:
-        fracs, split_seed = _split_spec(resolve_settings(args, {}))
-        parts = dict(zip(("train", "val", "test"),
-                         split_by_patient(ds, fracs, seed=split_seed)))
-        ds = parts[args.split]
+        run_dir = Path(args.model) if Path(args.model).is_dir() else Path(args.model).parent
+        patients = _read_json(run_dir / "splits.json", "splits",
+                              lambda obj: set(obj[f"{args.split}_patients"]))
+        ds.records = [r for r in ds.records if r.patient_id in patients]
     _require_both_classes(ds, f"{args.data} ({args.split} split)" if args.split else args.data)
     report = evaluate(ensemble.predict_records, ds.records,
                       params=sum(m.count_parameters() for m in ensemble.members),
@@ -485,8 +491,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--split", choices=("train", "val", "test"), default=None,
-                   help="evaluate on one split of the dataset instead of all of it")
-    _add_setting_flags(p, sections=("data",))
+                   help="evaluate on the split's patients in the splits.json beside --model")
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -147,32 +147,35 @@ def load_dataset(path):
     records = []
     problems = []
     d = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
-            try:
-                rec = record_from_json(obj)
-            except (ValueError, TypeError) as exc:
-                problems.append(f"line {lineno}: {exc}")
-                continue
-            errs = validate_record(rec)
-            if errs:
-                problems.extend(f"line {lineno}: {e}" for e in errs)
-                continue
-            if d is None:
-                d = rec.ehr.shape[1]
-            elif rec.ehr.shape[1] != d:
-                raise DataError(
-                    f"{path}: line {lineno}: inconsistent schema: "
-                    f"ehr column count {rec.ehr.shape[1]} != {d}"
-                )
-            records.append(rec)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
+                try:
+                    rec = record_from_json(obj)
+                except (ValueError, TypeError) as exc:
+                    problems.append(f"line {lineno}: {exc}")
+                    continue
+                errs = validate_record(rec)
+                if errs:
+                    problems.extend(f"line {lineno}: {e}" for e in errs)
+                    continue
+                if d is None:
+                    d = rec.ehr.shape[1]
+                elif rec.ehr.shape[1] != d:
+                    raise DataError(
+                        f"{path}: line {lineno}: inconsistent schema: "
+                        f"ehr column count {rec.ehr.shape[1]} != {d}"
+                    )
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if problems:
         raise DataError(f"{path}: {len(problems)} invalid record(s):\n" + "\n".join(problems))
     if not records:

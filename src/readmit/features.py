@@ -313,10 +313,10 @@ class FeatureSelection:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            importances=np.asarray(obj["importances"], dtype=float),
-            indices=[int(i) for i in obj["indices"]],
-        )
+        indices = [int(i) for i in obj["indices"]]
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"repeated selection indices: {indices}")
+        return cls(importances=np.asarray(obj["importances"], dtype=float), indices=indices)
 
 
 def select_top_k(importances, k):

@@ -399,6 +399,8 @@ def load_model(path):
         config = ModelConfig.from_json(obj["config"])
         params = {name: Tensor(_decode_array(payload), requires_grad=True)
                   for name, payload in obj["params"].items()}
+        selection = FeatureSelection.from_json(obj["selection"]) if obj.get("selection") else None
+        tfidf = TfidfModel.from_json(obj["tfidf"]) if obj.get("tfidf") else None
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: corrupt model payload: {exc}") from exc
     spec = param_spec(config)
@@ -411,6 +413,4 @@ def load_model(path):
                 f"the config needs {shape}"
             )
     model = ReadmissionModel(config, params=params)
-    selection = FeatureSelection.from_json(obj["selection"]) if obj.get("selection") else None
-    tfidf = TfidfModel.from_json(obj["tfidf"]) if obj.get("tfidf") else None
     return model, selection, tfidf, obj.get("fingerprint")

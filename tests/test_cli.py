@@ -200,6 +200,42 @@ def test_train_deterministic_artifacts(tmp_path, workspace):
     assert (outs[0] / "history.csv").read_bytes() == (outs[1] / "history.csv").read_bytes()
 
 
+# A model small enough that a one-epoch run takes about a second.
+TINY = ("--d-model", 8, "--heads", 1, "--ehr-layers", 1, "--cxr-layers", 1,
+        "--notes-layers", 1, "--d-ff", 8, "--epochs", 1)
+
+
+def _train_tiny(tmp_path, patients, *flags):
+    """Data of ``patients`` synth patients and a --no-select TINY run on it
+    under ``flags``; returns (data path, run directory)."""
+    data = tmp_path / "d.jsonl"
+    r = run_cli("synth", "--out", data, "--patients", patients, "--positive-rate", 0.3,
+                "--seed", 5)
+    assert r.returncode == 0, r.stderr
+    run = tmp_path / "run"
+    r = run_cli("train", "--data", data, "--out", run, "--no-select", *TINY, *flags)
+    assert r.returncode == 0, r.stderr
+    return data, run
+
+
+@pytest.mark.parametrize("flags", [(), ("--split-seed", "5")], ids=["default", "split-seed-5"])
+def test_splits_json_is_the_split_train_ran_with(tmp_path, flags):
+    """splits.json partitions the data's patients into the split_by_patient
+    split of the split settings train resolved."""
+    from readmit.data import load_dataset, split_by_patient
+
+    data, run = _train_tiny(tmp_path, 40, *flags)
+    recorded = json.loads((run / "splits.json").read_text())
+    args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o", *flags])
+    fractions, seed = cli._split_spec(cli.resolve_settings(args, {}))
+    ds = load_dataset(data)
+    parts = split_by_patient(ds, fractions, seed=seed)
+    for name, part in zip(("train", "val", "test"), parts):
+        assert recorded[f"{name}_patients"] == sorted({r.patient_id for r in part.records})
+    lists = [recorded[f"{name}_patients"] for name in ("train", "val", "test")]
+    assert sorted(sum(lists, [])) == sorted({r.patient_id for r in ds.records})
+
+
 def test_train_requires_selection_or_no_select(workspace, tmp_path):
     r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "x",
                 "--epochs", 1)
@@ -211,7 +247,8 @@ def test_train_requires_selection_or_no_select(workspace, tmp_path):
     ("{", "JSONDecodeError"),
     ('{"k": 1, "importances": [1.0]}', "indices"),
     ('{"k": 1, "indices": [0]}', "importances"),
-], ids=["not-json", "no-indices", "no-importances"])
+    ('{"k": 2, "indices": [0, 0], "importances": [1.0]}', "repeated selection indices: [0, 0]"),
+], ids=["not-json", "no-indices", "no-importances", "repeated-index"])
 def test_malformed_selection_file_is_a_data_error(tmp_path, workspace, text, cause):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -264,6 +301,21 @@ def test_config_file_unknown_key_rejected(tmp_path, workspace):
                 "--no-select", "--config", cfg)
     assert r.returncode == 2
     assert "epohcs" in r.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "d_model = 8\n", "[train]\nepochs = 1\n[train]\nepochs = 2\n", "[train]\nlr_max = 5%\n",
+], ids=["no-section-header", "repeated-section", "bad-interpolation"])
+def test_config_file_that_is_not_ini_is_a_config_error_naming_it(tmp_path, workspace, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    r = run_cli("train", "--data", workspace["data"], "--out", out, "--no-select",
+                "--config", cfg)
+    assert r.returncode == 2
+    assert f"config error: {cfg}: not a valid config file" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_train_unknown_modality_rejected(tmp_path, workspace):
@@ -703,6 +755,63 @@ def test_eval_on_split_completes(tmp_path, workspace):
     assert (out / "roc.csv").read_text().startswith("fpr,tpr")
 
 
+@pytest.mark.parametrize("patients", [40, 80])
+def test_eval_split_scores_the_patients_train_recorded(tmp_path, patients):
+    """After train --split-seed 5, eval --split test scores exactly the test
+    patients of splits.json: the same report as eval on a file of only them."""
+    data, run = _train_tiny(tmp_path, patients, "--split-seed", 5)
+    test_ids = set(json.loads((run / "splits.json").read_text())["test_patients"])
+    lines = [line for line in data.read_text().splitlines()
+             if json.loads(line)["patient_id"] in test_ids]
+    only = tmp_path / "test.jsonl"
+    only.write_text("\n".join(lines) + "\n")
+    outs = []
+    for name, source, split in (("split", data, ["--split", "test"]), ("file", only, [])):
+        outs.append(tmp_path / name)
+        r = run_cli("eval", "--model", run / "model.json", "--data", source,
+                    "--out", outs[-1], *split)
+        assert r.returncode == 0, r.stderr
+    report = json.loads((outs[0] / "report.json").read_text())
+    assert report["n_pos"] + report["n_neg"] == len(lines)
+    for name in ("report.json", "roc.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag,value", [("--split-seed", 5), ("--split-fractions", "0.5,0.25,0.25")])
+def test_eval_takes_no_split_settings(tmp_path, workspace, flag, value):
+    r = run_cli("eval", "--model", workspace["run"] / "model.json", "--data", workspace["data"],
+                "--out", tmp_path / "ev", "--split", "test", flag, value)
+    assert r.returncode == 2
+    assert f"unrecognized arguments: {flag}" in r.stderr
+
+
+@pytest.mark.parametrize("splits,cause", [
+    (None, "splits file does not exist"),
+    ("{", "JSONDecodeError"),
+    ('{"train_patients": []}', "KeyError('test_patients')"),
+    ('{"test_patients": 3}', "TypeError"),
+], ids=["kfold-directory", "not-json", "no-test-list", "not-a-list"])
+def test_eval_split_without_a_readable_splits_json_is_a_data_error(tmp_path, workspace,
+                                                                   splits, cause):
+    """A K-fold directory records no split: eval --split names the splits.json
+    it looked for, as it does a malformed one, and writes no report."""
+    run = tmp_path / "run"
+    run.mkdir()
+    if splits is None:
+        (run / "member_00.json").write_bytes((workspace["run"] / "model.json").read_bytes())
+        model = run
+    else:
+        model = run / "model.json"
+        model.write_bytes((workspace["run"] / "model.json").read_bytes())
+        (run / "splits.json").write_text(splits)
+    out = tmp_path / "ev"
+    r = run_cli("eval", "--model", model, "--data", workspace["data"], "--out", out,
+                "--split", "test")
+    assert r.returncode == 3
+    assert str(run / "splits.json") in r.stderr and cause in r.stderr
+    assert not out.exists()
+
+
 def test_eval_single_member_ensemble_equals_model(tmp_path, workspace):
     ens_dir = tmp_path / "ens1"
     ens_dir.mkdir()
@@ -918,11 +1027,13 @@ TRAIN_OPTIONS = [
     "--split-fractions", "--split-seed", "--weight-decay", "-h",
 ]
 KFOLD_ONLY = ["--holdout", "--jobs", "--k", "--trees"]
+EVAL_OPTIONS = ["--data", "--help", "--model", "--out", "--split", "-h"]
 
 
 @pytest.mark.parametrize("sub,expected", [
     ("train", sorted(TRAIN_OPTIONS + ["--no-select"])),
     ("kfold", sorted([o for o in TRAIN_OPTIONS if not o.startswith("--split-")] + KFOLD_ONLY)),
+    ("eval", EVAL_OPTIONS),
 ])
 def test_train_and_kfold_offer_exactly_the_pinned_options(sub, expected):
     r = run_cli(sub, "--help")

@@ -83,6 +83,13 @@ def test_load_malformed_json_reports_line(tmp_path):
         load_dataset(path)
 
 
+def test_load_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(json.dumps(record_to_json(make_record())).encode() + b"\n\xff\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load_dataset(path)
+
+
 def test_load_nan_record_reports_line_and_field(tmp_path):
     rec = make_record()
     rec.ehr[0, 0] = np.inf

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -687,6 +688,25 @@ def test_load_rejects_params_that_are_not_a_mapping(tmp_path):
     obj["params"] = []
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match="corrupt model payload"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("part,key", [("selection", "importances"), ("tfidf", "vocabulary"),
+                                      ("selection", "repeated")])
+def test_load_rejects_a_corrupt_selection_or_tfidf(tmp_path, part, key):
+    from readmit.features import FeatureSelection, TfidfModel
+
+    path = tmp_path / "model.json"
+    save_model(path, ReadmissionModel(tiny_config(modalities=("ehr", "notes"))),
+               selection=FeatureSelection(importances=np.array([0.6, 0.4]), indices=[0, 1]),
+               tfidf=TfidfModel(vocabulary=["a"], idf=np.array([1.0]), n_docs_fitted=1))
+    obj = json.loads(path.read_text())
+    if key == "repeated":
+        obj["selection"]["indices"] = [0, 0]
+    else:
+        del obj[part][key]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: corrupt model payload"):
         load_model(path)
 
 
