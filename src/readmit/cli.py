@@ -6,8 +6,9 @@ neither keeps the default of its config dataclass field.  Every model and
 report embeds a fingerprint of the resolved configuration and data content
 (the sha256 of the dataset file's bytes), so the same data under another path
 gives the same fingerprint.
-``train`` owns the split: it records each split's patients in ``splits.json``,
-and ``eval --split`` scores those patients, so eval takes no split settings.
+``train`` owns the split: it records each split's patients and the data's
+sha256 in ``splits.json``, and ``eval --split`` scores those patients of that
+same data, so eval takes no split settings.
 Eval does not compare fingerprints and runs no input checks of its own: the
 library names an input a member cannot read (a selection index past the
 dataset's EHR width, an EHR width other than the model's, raw note text
@@ -30,11 +31,12 @@ import numpy as np
 from .data import (SPLIT_FRACTIONS as SPLIT_DEFAULT, SynthConfig, generate_synthetic,
                    load_dataset, save_dataset, split_by_patient, synth_vocab)
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import auc, evaluate, save_report
-from .features import FeatureSelection, forest_selection, notes_tfidf, prepare_bundles
+from .evaluation import auc, check_classes, evaluate, save_report
+from .features import (FOREST_TREES, FeatureSelection, forest_selection, notes_tfidf,
+                       prepare_bundles)
 from .model import (DTYPES, ENCODERS, MODALITY_ORDER, ModelConfig,
                     ReadmissionModel, load_model, save_model)
-from .training import (NOISE_KINDS, Ensemble, LossConfig, NoiseSchedule,
+from .training import (FOLDS, NOISE_KINDS, Ensemble, LossConfig, NoiseSchedule,
                        TrainConfig, kfold_train, train, write_history_csv)
 
 # (INI section, key, train/kfold flag or None for a file-only key).  A flag
@@ -172,7 +174,12 @@ def _run_configs(settings):
     return ModelConfig(seed=train_cfg.seed, **settings["model"]), train_cfg
 
 
-def _run_fingerprint(model_cfg, train_cfg, data_path, **extra):
+def _sha256(path):
+    """The hex sha256 of the bytes of the file at ``path``."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run_fingerprint(model_cfg, train_cfg, data_sha256, **extra):
     """Fingerprint of a run's model, train, loss and noise configuration, the
     sha256 of its data file's bytes and the command's own ``extra`` values."""
     return fingerprint({
@@ -180,7 +187,7 @@ def _run_fingerprint(model_cfg, train_cfg, data_path, **extra):
         "train": {k: v for k, v in vars(train_cfg).items() if k not in ("loss", "noise")},
         "loss": vars(train_cfg.loss),
         "noise": vars(train_cfg.noise),
-        "data": hashlib.sha256(Path(data_path).read_bytes()).hexdigest(),
+        "data": data_sha256,
         **extra,
     })
 
@@ -218,16 +225,6 @@ def _ehr_width(k, name, ds, path):
     return k
 
 
-def _require_both_classes(ds, source):
-    """An AUC needs both classes: data to score with one is a DataError that
-    names ``source`` and its class counts."""
-    n_pos = sum(r.label for r in ds.records)
-    n_neg = len(ds.records) - n_pos
-    if not n_pos or not n_neg:
-        raise DataError(f"{source}: AUC needs both classes, got {n_pos} positive and "
-                        f"{n_neg} negative admissions")
-
-
 def _read_json(path, kind, parse):
     """``parse`` of the JSON ``kind`` file at ``path``; a missing file, or one
     that ``parse`` cannot read, is a DataError naming it."""
@@ -237,6 +234,14 @@ def _read_json(path, kind, parse):
             return parse(json.load(fh))
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a valid {kind} file: {exc!r}") from exc
+
+
+def _split_patients(splits, split):
+    """The patient IDs that the object of a splits.json lists for ``split``."""
+    patients = splits[f"{split}_patients"]
+    if not (isinstance(patients, list) and all(isinstance(p, str) for p in patients)):
+        raise TypeError(f"{split}_patients must be a list of strings")
+    return set(patients)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +317,8 @@ def cmd_train(args):
     tb, tl = prepare_bundles(train_ds.records, model_cfg.modalities, selection, tfidf, **caps)
     vb, vl = prepare_bundles(val_ds.records, model_cfg.modalities, selection, tfidf, **caps)
 
-    fp = _run_fingerprint(model_cfg, train_cfg, data_path,
+    data_sha256 = _sha256(data_path)
+    fp = _run_fingerprint(model_cfg, train_cfg, data_sha256,
                           split={"fractions": list(fracs), "seed": split_seed})
 
     model = ReadmissionModel(model_cfg)
@@ -325,6 +331,7 @@ def cmd_train(args):
     write_history_csv(result.history, out_dir / "history.csv")
     with open(out_dir / "splits.json", "w", encoding="utf-8") as fh:
         json.dump({
+            "data_sha256": data_sha256,
             "train_patients": sorted({r.patient_id for r in train_ds.records}),
             "val_patients": sorted({r.patient_id for r in val_ds.records}),
             "test_patients": sorted({r.patient_id for r in test_ds.records}),
@@ -354,7 +361,7 @@ def cmd_kfold(args):
     holdout = None
     if args.holdout:
         holdout = _load_data(args.holdout)
-        _require_both_classes(holdout, args.holdout)
+        check_classes([r.label for r in holdout.records], args.holdout)
     file_cfg = load_config_file(args.config, KFOLD_SECTIONS) if args.config else {}
 
     settings = resolve_settings(args, file_cfg)
@@ -370,7 +377,7 @@ def cmd_kfold(args):
     elif "ehr" in model_cfg.modalities:
         model_cfg.k_ehr = _ehr_width(settings["model"].get("k_ehr"), "model.k_ehr", ds, data_path)
 
-    fp = _run_fingerprint(model_cfg, train_cfg, data_path, k=args.k, trees=args.trees)
+    fp = _run_fingerprint(model_cfg, train_cfg, _sha256(data_path), k=args.k, trees=args.trees)
     started = time.perf_counter()
     ensemble = kfold_train(ds.records, model_cfg, train_cfg, k=args.k,
                            fold_seed=train_cfg.seed, selection=selection,
@@ -420,10 +427,15 @@ def cmd_eval(args):
     ds = _load_data(args.data)
     if args.split:
         run_dir = Path(args.model) if Path(args.model).is_dir() else Path(args.model).parent
-        patients = _read_json(run_dir / "splits.json", "splits",
-                              lambda obj: set(obj[f"{args.split}_patients"]))
+        splits = run_dir / "splits.json"
+        patients, recorded = _read_json(splits, "splits", lambda obj: (
+            _split_patients(obj, args.split), obj.get("data_sha256")))
+        if recorded != _sha256(args.data):
+            raise DataError(f"{splits} records the split of other data than {args.data}: "
+                            f"its data_sha256 is {recorded}, not the file's")
         ds.records = [r for r in ds.records if r.patient_id in patients]
-    _require_both_classes(ds, f"{args.data} ({args.split} split)" if args.split else args.data)
+    check_classes([r.label for r in ds.records],
+                  f"{args.data} ({args.split} split)" if args.split else args.data)
     report = evaluate(ensemble.predict_records, ds.records,
                       params=sum(m.count_parameters() for m in ensemble.members),
                       fingerprint=fp)
@@ -464,7 +476,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="selection JSON path")
     p.add_argument("--top-k", type=int, default=None, dest="top_k",
                    help=f"number of features to keep (default: min({ModelConfig.k_ehr}, d))")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=int, default=FOREST_TREES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     _add_setting_flags(p, sections=("data",))
@@ -479,9 +491,9 @@ def build_parser():
 
     p = sub.add_parser("kfold", help="train a K-fold ensemble")
     _add_train_flags(p, KFOLD_SECTIONS)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=FOLDS)
     p.add_argument("--selection", default=None)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=int, default=FOREST_TREES)
     p.add_argument("--holdout", default=None, help="dataset file for ensemble evaluation")
     p.add_argument("--jobs", type=int, default=1, help="folds trained in parallel")
     p.set_defaults(func=cmd_kfold)

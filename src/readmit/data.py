@@ -2,12 +2,12 @@
 
 The on-disk format is JSONL with one admission per line:
 
-    {"patient_id": str, "admission_id": str,
+    {"patient_id": str | int, "admission_id": str,
      "ehr": [[float, ...], ...],            # days x features
      "cxr": [[float x 1024], ...],          # image feature vectors, may be []
      "notes": [str, ...] | [[float x 1024], ...],
      "notes_kind": "text" | "vector",
-     "label": 0 | 1}
+     "label": 0 | 1}                        # the integer: true and 0.0 are errors
 
 The synthetic generator plants a known logistic signal in a subset of EHR
 columns and note tokens so that feature selection and end-to-end training
@@ -95,8 +95,9 @@ def validate_record(rec):
     else:
         errors.append(f"notes_kind must be 'text' or 'vector', got {rec.notes_kind!r}")
 
-    if rec.label not in (0, 1):
-        errors.append("label out of range (must be 0 or 1)")
+    if isinstance(rec.label, bool) or not isinstance(rec.label, (int, np.integer)) \
+            or rec.label not in (0, 1):
+        errors.append(f"label out of range (must be the integer 0 or 1, got {rec.label!r})")
     return errors
 
 
@@ -119,6 +120,9 @@ def record_from_json(obj):
     for key in ("patient_id", "admission_id", "ehr", "cxr", "notes", "notes_kind", "label"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
+    patient_id = obj["patient_id"]
+    if isinstance(patient_id, bool) or not isinstance(patient_id, (str, int)):
+        raise ValueError(f"patient_id must be a string or an integer, got {patient_id!r}")
     ehr = np.asarray(obj["ehr"], dtype=float)
     cxr_raw = obj["cxr"]
     cxr = np.asarray(cxr_raw, dtype=float) if cxr_raw else np.zeros((0, CXR_DIM))
@@ -127,7 +131,7 @@ def record_from_json(obj):
     if notes_kind == "vector":
         notes = np.asarray(notes, dtype=float) if notes else np.zeros((0, NOTES_DIM))
     return AdmissionRecord(
-        patient_id=str(obj["patient_id"]),
+        patient_id=str(patient_id),
         admission_id=str(obj["admission_id"]),
         ehr=ehr,
         cxr=cxr,

@@ -15,12 +15,16 @@ import numpy as np
 from .errors import DataError
 
 
-def _check_classes(labels):
+def check_classes(labels, source="labels"):
+    """``labels`` as ints with their positive and negative counts.  An AUC
+    needs both classes: labels of one class are a DataError that names
+    ``source`` and both counts."""
     labels = np.asarray(labels, dtype=int)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DataError("AUC undefined: only one class present in labels")
+        raise DataError(f"{source}: AUC needs both classes, got {n_pos} positive and "
+                        f"{n_neg} negative admissions")
     return labels, n_pos, n_neg
 
 
@@ -31,7 +35,7 @@ def roc_curve(scores, labels):
     segments rather than separate steps.
     """
     scores = np.asarray(scores, dtype=float)
-    labels, n_pos, n_neg = _check_classes(labels)
+    labels, n_pos, n_neg = check_classes(labels)
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
     y = labels[order]
@@ -55,7 +59,7 @@ def auc(scores, labels):
 
 def auc_mann_whitney(scores, labels):
     """AUC as (concordant pairs + half ties) / (n_pos * n_neg), via average ranks."""
-    labels, n_pos, n_neg = _check_classes(labels)
+    labels, n_pos, n_neg = check_classes(labels)
     # a group of c tied scores ending at 1-based rank e shares rank e - (c - 1) / 2
     _, group, counts = np.unique(np.asarray(scores, dtype=float), return_inverse=True,
                                  return_counts=True)

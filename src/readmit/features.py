@@ -109,6 +109,10 @@ def transform_tfidf(model, notes):
 # random forest
 
 
+# Trees in a selection forest when the caller names no count.
+FOREST_TREES = 100
+
+
 @dataclass
 class Forest:
     trees: list                 # per tree, its unnormalized MDI per feature
@@ -253,7 +257,7 @@ def _fit_trees(X, y, seed, indices):
     return trees
 
 
-def train_random_forest(X, y, n_trees=100, seed=0, jobs=1):
+def train_random_forest(X, y, n_trees=FOREST_TREES, seed=0, jobs=1):
     """Fit a bootstrap forest; deterministic given (X, y, seed) for any jobs.
     Each worker fits one contiguous range of trees, so X and y are sent once."""
     X = np.asarray(X, dtype=float)

@@ -16,7 +16,8 @@ from scipy.special import expit
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc
-from .features import forest_selection, notes_tfidf, prepare_bundles, process_map
+from .features import (FOREST_TREES, forest_selection, notes_tfidf, prepare_bundles,
+                       process_map)
 from .model import ReadmissionModel, collate
 
 
@@ -136,6 +137,31 @@ def cosine_lr(epoch, lr_max, lr_min, total):
 
 
 # ---------------------------------------------------------------------------
+# training configuration
+
+
+@dataclass
+class TrainConfig:
+    epochs: int = 100
+    lr_max: float = 1e-3
+    lr_min: float = 5e-4
+    batch_size: int = 32
+    loss: LossConfig = field(default_factory=LossConfig)
+    noise: NoiseSchedule = field(default_factory=NoiseSchedule)
+    grad_clip: float = 1.0
+    weight_decay: float = 0.01
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.lr_min > self.lr_max:
+            raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -144,7 +170,7 @@ class AdamW:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-3, weight_decay=0.01):
+    def __init__(self, params, lr=TrainConfig.lr_max, weight_decay=TrainConfig.weight_decay):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
@@ -194,27 +220,6 @@ def clip_gradients(params, max_norm):
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 100
-    lr_max: float = 1e-3
-    lr_min: float = 5e-4
-    batch_size: int = 32
-    loss: LossConfig = field(default_factory=LossConfig)
-    noise: NoiseSchedule = field(default_factory=NoiseSchedule)
-    grad_clip: float = 1.0
-    weight_decay: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr_min > self.lr_max:
-            raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-
-
-@dataclass
 class TrainResult:
     model: ReadmissionModel
     history: list                   # dicts: epoch, train_loss, val_auc, lr, noise_ratio
@@ -223,7 +228,11 @@ class TrainResult:
     seconds_per_epoch: float
 
 
-def predict_logits(model, bundles, batch_size=256):
+# Bundles per forward pass when scoring.
+SCORE_BATCH = 256
+
+
+def predict_logits(model, bundles, batch_size=SCORE_BATCH):
     """Eval-mode logits for a list of bundles (no dropout, no noise, no graph)."""
     dt = model.config.np_dtype()
     frozen = model.frozen()
@@ -235,7 +244,7 @@ def predict_logits(model, bundles, batch_size=256):
     return out
 
 
-def predict_proba(model, bundles, batch_size=256):
+def predict_proba(model, bundles, batch_size=SCORE_BATCH):
     return expit(predict_logits(model, bundles, batch_size))
 
 
@@ -351,37 +360,25 @@ class Ensemble:
     fold_val_aucs: list
     pipelines: list                 # (selection, tfidf) per member
 
-    def predict_bundles(self, bundles):
-        """Arithmetic mean of member probabilities, one per bundle."""
+    def __post_init__(self):
         if not self.members:
             raise ConfigError("ensemble has no members")
+        if len(self.pipelines) != len(self.members):
+            raise ConfigError(f"ensemble has {len(self.members)} members but "
+                              f"{len(self.pipelines)} pipelines")
+
+    def predict_bundles(self, bundles):
+        """Arithmetic mean of member probabilities, one per bundle."""
         return np.mean([predict_proba(m, bundles) for m in self.members], axis=0)
 
     def predict_records(self, records):
         """Mean member probabilities for raw records.  Each member scores
-        bundles built with its own selection, TF-IDF, modalities and caps;
-        members equal in all four share one build.  A one-member ensemble
-        gives its model's bits."""
-        if not self.members:
-            raise ConfigError("ensemble has no members")
-        n_pipelines = len(self.pipelines)
-        if n_pipelines != len(self.members):
-            raise ConfigError(
-                f"ensemble has {len(self.members)} members but {n_pipelines} pipelines")
-        groups = {}
-        for i, (member, (sel, tfidf)) in enumerate(zip(self.members, self.pipelines)):
-            cfg = member.config
-            key = (cfg.modalities, str(cfg.caps()), sel and tuple(sel.indices),
-                   tfidf and (tuple(tfidf.vocabulary), tfidf.idf.tobytes()))
-            groups.setdefault(key, []).append(i)
-        probs = [None] * len(self.members)
-        for idx in groups.values():
-            cfg = self.members[idx[0]].config
-            bundles, _ = prepare_bundles(records, cfg.modalities, *self.pipelines[idx[0]],
-                                         **cfg.caps())
-            for i in idx:
-                probs[i] = predict_proba(self.members[i], bundles)
-        return np.mean(probs, axis=0)
+        bundles built with its own selection, TF-IDF, modalities and caps.
+        A one-member ensemble gives its model's bits."""
+        return np.mean([
+            predict_proba(m, prepare_bundles(records, m.config.modalities, sel, tfidf,
+                                             **m.config.caps())[0])
+            for m, (sel, tfidf) in zip(self.members, self.pipelines)], axis=0)
 
 
 def patient_folds(records, k, seed=0):
@@ -417,8 +414,12 @@ def _train_fold(args):
     return result.model, result.best_val_auc, (selection, tfidf)
 
 
-def kfold_train(records, model_cfg, train_cfg, k=10, fold_seed=0,
-                selection=None, tfidf=None, jobs=1, trees=100):
+# Folds of a K-fold ensemble when the caller names no K.
+FOLDS = 10
+
+
+def kfold_train(records, model_cfg, train_cfg, k=FOLDS, fold_seed=0,
+                selection=None, tfidf=None, jobs=1, trees=FOREST_TREES):
     """Train K patient-grouped fold models and return them as an Ensemble.
 
     Fold i trains on all other folds and validates on fold i; per-fold RNG

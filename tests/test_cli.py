@@ -533,8 +533,17 @@ def test_kfold_holdout_of_another_ehr_width_is_rejected_before_any_fold_trains(t
 @pytest.mark.parametrize("split", [None, "test"])
 def test_eval_single_class_data_is_a_data_error_naming_the_file(tmp_path, workspace, split):
     data, _ = _negatives_only(workspace, tmp_path)
+    model = workspace["run"] / "model.json"
+    if split:
+        # the workspace run, with a splits.json that records the one-class file
+        model = tmp_path / "run" / "model.json"
+        model.parent.mkdir()
+        model.write_bytes((workspace["run"] / "model.json").read_bytes())
+        splits = json.loads((workspace["run"] / "splits.json").read_text())
+        splits["data_sha256"] = hashlib.sha256(data.read_bytes()).hexdigest()
+        (model.parent / "splits.json").write_text(json.dumps(splits))
     out = tmp_path / "ev"
-    r = run_cli("eval", "--model", workspace["run"] / "model.json", "--data", data,
+    r = run_cli("eval", "--model", model, "--data", data,
                 "--out", out, *(["--split", split] if split else []))
     assert r.returncode == 3
     source = f"{data} ({split} split)" if split else str(data)
@@ -660,6 +669,59 @@ def test_split_default_is_one_constant():
     assert cli.SPLIT_DEFAULT is data.SPLIT_FRACTIONS == (0.7, 0.15, 0.15)
     default = inspect.signature(data.split_by_patient).parameters["fractions"].default
     assert default is data.SPLIT_FRACTIONS
+
+
+def test_forest_size_default_is_one_constant():
+    import inspect
+
+    from readmit import features, training
+
+    assert features.FOREST_TREES == 100
+    assert inspect.signature(features.train_random_forest).parameters["n_trees"].default \
+        is features.FOREST_TREES
+    assert inspect.signature(training.kfold_train).parameters["trees"].default \
+        is features.FOREST_TREES
+    parser = cli.build_parser()
+    for command in ("select-features", "kfold"):
+        args = parser.parse_args([command, "--data", "d", "--out", "o"])
+        assert args.trees is features.FOREST_TREES
+
+
+def test_fold_count_default_is_one_constant():
+    import inspect
+
+    from readmit import training
+
+    assert training.FOLDS == 10
+    assert inspect.signature(training.kfold_train).parameters["k"].default is training.FOLDS
+    args = cli.build_parser().parse_args(["kfold", "--data", "d", "--out", "o"])
+    assert args.k is training.FOLDS
+
+
+def test_optimizer_defaults_are_the_train_config_fields():
+    """AdamW's defaults name TrainConfig's fields instead of restating them
+    (equal float literals share one object, so ``is`` cannot tell)."""
+    import ast
+    import inspect
+    import textwrap
+
+    from readmit import training
+
+    init = ast.parse(textwrap.dedent(inspect.getsource(training.AdamW.__init__))).body[0]
+    assert [ast.unparse(d) for d in init.args.defaults] == ["TrainConfig.lr_max",
+                                                            "TrainConfig.weight_decay"]
+    params = inspect.signature(training.AdamW).parameters
+    assert (params["lr"].default, params["weight_decay"].default) == (1e-3, 0.01)
+
+
+def test_scoring_batch_default_is_one_constant():
+    import inspect
+
+    from readmit import training
+
+    assert training.SCORE_BATCH == 256
+    for fn in (training.predict_logits, training.predict_proba):
+        assert inspect.signature(fn).parameters["batch_size"].default is training.SCORE_BATCH
 
 
 def test_kfold_k1_rejected(tmp_path, workspace):
@@ -790,7 +852,8 @@ def test_eval_takes_no_split_settings(tmp_path, workspace, flag, value):
     ("{", "JSONDecodeError"),
     ('{"train_patients": []}', "KeyError('test_patients')"),
     ('{"test_patients": 3}', "TypeError"),
-], ids=["kfold-directory", "not-json", "no-test-list", "not-a-list"])
+    ('{"test_patients": "P00001"}', "test_patients must be a list of strings"),
+], ids=["kfold-directory", "not-json", "no-test-list", "not-a-list", "a-string"])
 def test_eval_split_without_a_readable_splits_json_is_a_data_error(tmp_path, workspace,
                                                                    splits, cause):
     """A K-fold directory records no split: eval --split names the splits.json
@@ -809,6 +872,35 @@ def test_eval_split_without_a_readable_splits_json_is_a_data_error(tmp_path, wor
                 "--split", "test")
     assert r.returncode == 3
     assert str(run / "splits.json") in r.stderr and cause in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["other-data", "no-data-hash"])
+def test_eval_split_of_other_data_is_a_data_error(tmp_path, case):
+    """splits.json records the sha256 of the data train split: eval --split
+    on another file, or with a splits.json that records no sha256, names both
+    files and writes no report."""
+    data = tmp_path / "d.jsonl"
+    r = run_cli("synth", "--out", data, "--patients", 80, "--seed", 3)
+    assert r.returncode == 0, r.stderr
+    run = tmp_path / "run"
+    r = run_cli("train", "--data", data, "--out", run, "--no-select", *TINY)
+    assert r.returncode == 0, r.stderr
+    splits = json.loads((run / "splits.json").read_text())
+    assert splits["data_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    if case == "other-data":
+        data = tmp_path / "h.jsonl"
+        r = run_cli("synth", "--out", data, "--patients", 30, "--seed", 4)
+        assert r.returncode == 0, r.stderr
+    else:
+        del splits["data_sha256"]
+        (run / "splits.json").write_text(json.dumps(splits))
+    out = tmp_path / "ev"
+    r = run_cli("eval", "--model", run / "model.json", "--data", data, "--out", out,
+                "--split", "test")
+    assert r.returncode == 3
+    assert (f"data error: {run / 'splits.json'} records the split of other data than {data}"
+            in r.stderr)
     assert not out.exists()
 
 

@@ -43,6 +43,26 @@ def test_validate_label_out_of_range():
     assert any("label out of range" in e for e in errs)
 
 
+def test_load_rejects_patient_id_and_label_types(tmp_path):
+    """A null patient_id is no patient, and a label is the integer 0 or 1:
+    each bad line is named, and integer patient IDs still read as strings."""
+    good = record_to_json(make_record(pid="P1"))
+    lines = [dict(good, patient_id=None), dict(good, label=True), dict(good, label=0.0),
+             dict(good, patient_id=7), dict(good, label=1)]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value).splitlines() == [
+        f"{path}: 3 invalid record(s):",
+        "line 1: patient_id must be a string or an integer, got None",
+        "line 2: label out of range (must be the integer 0 or 1, got True)",
+        "line 3: label out of range (must be the integer 0 or 1, got 0.0)",
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines[3:]))
+    assert [r.patient_id for r in load_dataset(path).records] == ["7", "P1"]
+
+
 def test_validate_cxr_dim():
     rec = make_record()
     rec.cxr = np.zeros((2, 1023))

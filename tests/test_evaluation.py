@@ -40,7 +40,8 @@ def test_roc_monotone_from_origin_to_corner():
 
 
 def test_roc_single_class_errors():
-    with pytest.raises(DataError, match="single|one class"):
+    with pytest.raises(DataError, match="^labels: AUC needs both classes, got 2 positive "
+                                        "and 0 negative admissions$"):
         roc_curve([0.1, 0.9], [1, 1])
 
 

@@ -711,9 +711,8 @@ def test_ensemble_predict_records_uses_its_pipeline_and_the_member_caps():
 
 
 def test_ensemble_predict_records_scores_each_member_through_its_own_pipeline(monkeypatch):
-    """Members score bundles of their own selection and caps; equal pipelines
-    held in distinct objects share one build, and the result is the mean of
-    the members' own probabilities."""
+    """Members score bundles of their own selection and caps, one build per
+    member, and the result is the mean of the members' own probabilities."""
     from readmit import training
     from readmit.features import prepare_bundles, select_top_k
 
@@ -730,7 +729,7 @@ def test_ensemble_predict_records_scores_each_member_through_its_own_pipeline(mo
     monkeypatch.setattr(training, "prepare_bundles",
                         lambda *a, **kw: builds.append(a[2]) or build(*a, **kw))
     got = Ensemble(members, [], pipelines).predict_records(records)
-    assert len(builds) == 2
+    assert len(builds) == 3
     own = [predict_proba(m, prepare_bundles(records, ("ehr",), sel, **m.config.caps())[0])
            for m, (sel, _) in zip(members, pipelines)]
     assert got.tobytes() == np.mean(own, axis=0).tobytes()
@@ -747,12 +746,11 @@ def test_ensemble_empty_errors():
 
 @pytest.mark.parametrize("pipelines", [[], [(None, None)]])
 def test_ensemble_pipelines_must_match_its_members(pipelines):
-    """predict_records names an ensemble whose pipelines do not pair off
-    with its members instead of failing inside zip or np.mean."""
-    ens = Ensemble(tiny_ehr_models(1, 2), [], pipelines)
+    """An ensemble whose pipelines do not pair off with its members is
+    rejected when it is built, not inside zip or np.mean."""
     with pytest.raises(ConfigError,
                        match=f"ensemble has 2 members but {len(pipelines)} pipelines"):
-        ens.predict_records(synth_records(2))
+        Ensemble(tiny_ehr_models(1, 2), [], pipelines)
 
 
 @pytest.mark.parametrize("cause", ["selection", "width", "tfidf"])
