@@ -48,13 +48,17 @@ def roc_curve(scores, labels):
     return points
 
 
-def auc(scores, labels):
-    """Area under the ROC curve (trapezoidal rule over tie-grouped points)."""
-    points = roc_curve(scores, labels)
+def roc_area(points):
+    """Area under ROC points by the trapezoidal rule."""
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
         area += (x1 - x0) * 0.5 * (y0 + y1)
     return float(area)
+
+
+def auc(scores, labels):
+    """Area under the ROC curve (trapezoidal rule over tie-grouped points)."""
+    return roc_area(roc_curve(scores, labels))
 
 
 def auc_mann_whitney(scores, labels):
@@ -89,11 +93,12 @@ def evaluate(score_fn, records, params=None, seconds_per_epoch=None, fingerprint
         raise DataError("cannot evaluate on an empty record list")
     scores = np.asarray(score_fn(records), dtype=float)
     labels = np.array([r.label for r in records], dtype=int)
+    points = roc_curve(scores, labels)
     return EvalReport(
-        auc=auc(scores, labels),
+        auc=roc_area(points),
         n_pos=int(labels.sum()),
         n_neg=int(labels.size - labels.sum()),
-        roc_points=roc_curve(scores, labels),
+        roc_points=points,
         params=params,
         seconds_per_epoch=seconds_per_epoch,
         fingerprint=fingerprint,

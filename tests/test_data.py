@@ -2,12 +2,14 @@
 
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readmit import data
 from readmit.data import (AdmissionRecord, SynthConfig, generate_synthetic,
                           load_dataset, record_to_json, save_dataset,
                           split_by_patient, synth_logit, validate_record)
@@ -139,6 +141,137 @@ def test_save_load_roundtrip(tmp_path):
     assert back.n_admissions == ds.n_admissions
     np.testing.assert_array_equal(back.records[0].ehr, ds.records[0].ehr)
     assert back.records[0].notes == ds.records[0].notes
+
+
+def _record_line(**changes):
+    """A valid record's JSON line with fields replaced by raw JSON text."""
+    obj = record_to_json(make_record(d=2))
+    for key in changes:
+        obj[key] = f"<{key}>"
+    line = json.dumps(obj)
+    for key, raw in changes.items():
+        line = line.replace(json.dumps(f"<{key}>"), raw)
+    return line
+
+
+@pytest.mark.parametrize("changes, problem", [
+    ({"notes": "0"}, "notes must be a list, got int"),
+    ({"notes": "null"}, "notes must be a list, got NoneType"),
+    ({"notes": '"abc"'}, "notes must be a list, got str"),
+    ({"notes": '{"x": 1}'}, "notes must be a list, got dict"),
+    ({"notes": "0", "notes_kind": '"vector"'}, "notes must be a list, got int"),
+    ({"cxr": "0"}, "cxr must be a list, got int"),
+    ({"cxr": '""'}, "cxr must be a list, got str"),
+    ({"cxr": "{}"}, "cxr must be a list, got dict"),
+    ({"cxr": "null"}, "cxr must be a list, got NoneType"),
+    ({"admission_id": "[1, 2]"}, "admission_id must be a string or an integer, got [1, 2]"),
+    ({"admission_id": "false"}, "admission_id must be a string or an integer, got False"),
+    ({"ehr": "[[1, 1" + "0" * 400 + "]]"}, "int too large to convert to float"),
+], ids=["notes-0", "notes-null", "notes-string", "notes-object", "vector-notes-0",
+        "cxr-0", "cxr-empty-string", "cxr-object", "cxr-null", "admission-id-list",
+        "admission-id-bool", "ehr-int-beyond-double"])
+def test_load_rejects_container_and_id_types(tmp_path, changes, problem):
+    """notes and cxr are lists and admission_id a string or an integer; any
+    other value is a problem named by its line, never an empty modality."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_record_line() + "\n" + _record_line(**changes) + "\n")
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value).splitlines() == [f"{path}: 1 invalid record(s):",
+                                            f"line 2: {problem}"]
+
+
+def test_load_reads_empty_modalities_and_integer_admission_ids(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text(_record_line(cxr="[]", notes="[]", admission_id="12") + "\n"
+                    + _record_line(cxr="[]", notes="[]", notes_kind='"vector"') + "\n")
+    first, second = load_dataset(path).records
+    assert first.admission_id == "12" and first.notes == [] and first.cxr.shape == (0, 1024)
+    assert second.notes.shape == (0, 1024)
+
+
+def _load_with_json(path):
+    """load_dataset with json.loads as its line parser: the reference reader."""
+    with mock.patch.object(data, "_parse_line", json.loads):
+        return load_dataset(path)
+
+
+def _outcome(load, path):
+    try:
+        return load(path).records
+    except Exception as exc:  # both readers must fail alike, whatever the failure
+        return (type(exc), str(exc))
+
+
+_BIG_INTS = [str(2**64), str(2**64 + 1), str(2**70 + 1), str(-2**63 - 1), str(10**20),
+             "1" + "0" * 400, "-0", "7"]
+_NUMBER_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400"] + _BIG_INTS
+_OTHER_LITERALS = ['"\\ud800"', '"\\ud83d\\ude00"', "null", "true", "0.0", "1.5", '""',
+                   '"abc"', "{}", '{"x": 1}', "[]", "[1, 2]", '["a", 1]', "[[1]]"]
+_FIELDS = ["patient_id", "admission_id", "ehr", "cxr", "notes", "notes_kind", "label"]
+
+
+@st.composite
+def record_lines(draw):
+    """A small valid record line, mutated at one place or not at all."""
+    n_days, q, m = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vector = draw(st.booleans())
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    obj = {
+        "patient_id": draw(st.one_of(st.text(max_size=3), st.integers(-9, 2**63 - 1))),
+        "admission_id": draw(st.one_of(st.text(max_size=3), st.integers(0, 99))),
+        "ehr": [draw(st.lists(finite, min_size=2, max_size=2)) for _ in range(n_days)],
+        "cxr": rng.normal(size=(q, 1024)).tolist(),
+        "notes": (rng.normal(size=(m, 1024)).tolist() if vector
+                  else draw(st.lists(st.text(max_size=5), max_size=m))),
+        "notes_kind": "vector" if vector else "text",
+        "label": draw(st.sampled_from([0, 1])),
+    }
+    mutation = draw(st.sampled_from(["none", "field", "ehr", "cxr", "duplicate", "bom",
+                                     "truncate"]))
+    raw = draw(st.sampled_from(_NUMBER_LITERALS + _OTHER_LITERALS))
+    if mutation == "field":
+        obj[draw(st.sampled_from(_FIELDS))] = "<raw>"
+    elif mutation == "ehr":
+        obj["ehr"][draw(st.integers(0, n_days - 1))][draw(st.integers(0, 1))] = "<raw>"
+        raw = draw(st.sampled_from(_NUMBER_LITERALS))
+    elif mutation == "cxr" and q:
+        obj["cxr"][0][draw(st.integers(0, 1023))] = "<raw>"
+        raw = draw(st.sampled_from(_NUMBER_LITERALS))
+    line = json.dumps(obj).replace('"<raw>"', raw)
+    if mutation == "duplicate":
+        line = line[:-1] + f', "{draw(st.sampled_from(_FIELDS))}": {raw}}}'
+    elif mutation == "bom":
+        line = "\ufeff" + line
+    elif mutation == "truncate":
+        line = line[:draw(st.integers(1, len(line) - 1))]
+    return line
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(record_lines(), min_size=1, max_size=3))
+def test_load_gives_what_a_json_reader_gives(tmp_path_factory, lines):
+    """orjson parses, json decides: every record and every error of
+    load_dataset equals that of the same reader built on json.loads, array
+    bits, id and label types included."""
+    path = tmp_path_factory.mktemp("parity") / "d.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got, want = _outcome(load_dataset, path), _outcome(_load_with_json, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for key in ("patient_id", "admission_id", "notes_kind", "label"):
+            assert getattr(a, key) == getattr(b, key)
+            assert type(getattr(a, key)) is type(getattr(b, key))
+        arrays = ["ehr", "cxr"] + (["notes"] if b.notes_kind == "vector" else [])
+        for key in arrays:
+            x, y = getattr(a, key), getattr(b, key)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        if b.notes_kind == "text":
+            assert a.notes == b.notes
 
 
 # ---------------------------------------------------------------------------
