@@ -201,6 +201,17 @@ def _set_k_ehr(settings, model_cfg, k, source):
     model_cfg.k_ehr = k
 
 
+def _selection(path, settings, model_cfg):
+    """The selection file at ``path``, or None for no path.  It gives the
+    model its ``k_ehr`` EHR columns when ``ehr`` is active, and only then."""
+    if path is None:
+        return None
+    selection = _read_json(path, "selection", FeatureSelection.from_json)
+    if "ehr" in model_cfg.modalities:
+        _set_k_ehr(settings, model_cfg, selection.k, f"selection {path}")
+    return selection
+
+
 def _require_file(path, kind):
     if not Path(path).is_file():
         raise DataError(f"{kind} file does not exist: {path}")
@@ -294,21 +305,15 @@ def cmd_train(args):
     data_path = Path(args.data)
     ds = _load_data(data_path)
     file_cfg = load_config_file(args.config) if args.config else {}
-
-    selection = None
-    if not args.no_select:
-        if not args.selection:
-            raise ConfigError("either --selection FILE or --no-select is required")
-        selection = _read_json(args.selection, "selection", FeatureSelection.from_json)
+    if not (args.selection or args.no_select):      # the parser rejects both
+        raise ConfigError("either --selection FILE or --no-select is required")
 
     settings = resolve_settings(args, file_cfg)
     model_cfg, train_cfg = _run_configs(settings)
-    if "ehr" in model_cfg.modalities:
-        if selection is not None:
-            _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
-        else:
-            _set_k_ehr(settings, model_cfg, _ehr_width(ds.d, "--no-select", ds, data_path),
-                       f"--no-select on {data_path}")
+    selection = _selection(args.selection, settings, model_cfg)
+    if args.no_select and "ehr" in model_cfg.modalities:
+        _set_k_ehr(settings, model_cfg, _ehr_width(ds.d, "--no-select", ds, data_path),
+                   f"--no-select on {data_path}")
     fracs, split_seed = _split_spec(settings)
 
     train_ds, val_ds, test_ds = split_by_patient(ds, fracs, seed=split_seed)
@@ -370,11 +375,8 @@ def cmd_kfold(args):
         raise DataError(f"holdout {args.holdout} has {holdout.d} EHR columns, "
                         f"but {data_path} has {ds.d}")
 
-    selection = None
-    if args.selection:
-        selection = _read_json(args.selection, "selection", FeatureSelection.from_json)
-        _set_k_ehr(settings, model_cfg, selection.k, f"selection {args.selection}")
-    elif "ehr" in model_cfg.modalities:
+    selection = _selection(args.selection, settings, model_cfg)
+    if selection is None and "ehr" in model_cfg.modalities:
         model_cfg.k_ehr = _ehr_width(settings["model"].get("k_ehr"), "model.k_ehr", ds, data_path)
 
     fp = _run_fingerprint(model_cfg, train_cfg, _sha256(data_path), k=args.k, trees=args.trees)
@@ -484,9 +486,10 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model on a train/val split")
     _add_train_flags(p)
-    p.add_argument("--selection", default=None, help="selection JSON from select-features")
-    p.add_argument("--no-select", action="store_true", dest="no_select",
-                   help="use all EHR features without a selection file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--selection", default=None, help="selection JSON from select-features")
+    source.add_argument("--no-select", action="store_true", dest="no_select",
+                        help="use all EHR features without a selection file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("kfold", help="train a K-fold ensemble")

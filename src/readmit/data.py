@@ -145,30 +145,35 @@ def record_from_json(obj):
     )
 
 
-_SCALAR_FIELDS = ("patient_id", "admission_id", "notes_kind", "label")
-_LIST_FIELDS = ("ehr", "cxr", "notes")
+def _record_of(obj):
+    """The record a parsed line gives and its problems; None if it gives none."""
+    try:
+        rec = record_from_json(obj)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return None, [str(exc)]
+    return rec, validate_record(rec)
 
 
-def _parse_line(line):
-    """``json.loads(line)``, parsed by orjson where that gives the same objects.
+def _read_line(line):
+    """The record and problems of ``json.loads(line)``, parsed by orjson where
+    that gives the same record.
 
     orjson parses the 1024-wide vectors several times faster, to json's bits.
     It rejects ``NaN``, ``Infinity``, numbers beyond a double, lone surrogate
     escapes and malformed JSON, and it reads an integer beyond 64 bits as a
-    float.  json parses again a line that orjson rejects, and one whose
-    scalar fields are not all strings or integers or whose ``ehr``, ``cxr``
-    or ``notes`` is not a list, since error messages print those values.
-    Inside the lists such an integer becomes the same double either way.
+    float, which no valid ID, label or note text is; inside the arrays such
+    an integer becomes the same double either way.  So a line whose orjson
+    record is valid is kept, and json reads any other line again, whose
+    record and problems are reported, since error messages print its values
+    (a value nested too deeply to print is read again too).
     """
     try:
-        obj = orjson.loads(line)
-    except orjson.JSONDecodeError:
-        return json.loads(line)
-    if (isinstance(obj, dict)
-            and all(type(obj.get(k)) in (str, int) for k in _SCALAR_FIELDS)
-            and all(type(obj.get(k)) is list for k in _LIST_FIELDS)):
-        return obj
-    return json.loads(line)
+        rec, errs = _record_of(orjson.loads(line))
+        if not errs:
+            return rec, errs
+    except (orjson.JSONDecodeError, RecursionError):
+        pass
+    return _record_of(json.loads(line))
 
 
 def load_dataset(path):
@@ -188,15 +193,11 @@ def load_dataset(path):
                 if not line:
                     continue
                 try:
-                    obj = _parse_line(line)
-                except json.JSONDecodeError as exc:
+                    rec, errs = _read_line(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    # json recurses once per nesting level, so a line nested
+                    # too deeply for it is malformed JSON to this reader too
                     raise DataError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
-                try:
-                    rec = record_from_json(obj)
-                except (ValueError, TypeError, OverflowError) as exc:
-                    problems.append(f"line {lineno}: {exc}")
-                    continue
-                errs = validate_record(rec)
                 if errs:
                     problems.extend(f"line {lineno}: {e}" for e in errs)
                     continue

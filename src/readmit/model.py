@@ -213,13 +213,13 @@ def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
     qkv = T.linear(x, T.concat([p("attn.wq"), p("attn.wk"), p("attn.wv")]),
                    T.concat([p("attn.bq"), p("attn.bk"), p("attn.bv")]))
     att = T.multi_head_attention(qkv, rows, key_bias, cfg.n_heads)
-    h = T.residual_linear(h, att, p("attn.wo"), p("attn.bo"), *drop)
+    h = T.linear(att, p("attn.wo"), p("attn.bo"), h, *drop)
 
     x2 = T.layer_norm(h, p("ln2.g"), p("ln2.b"))
     f = T.gelu(T.linear(x2, p("ffn.w1"), p("ffn.b1")))
     if training:
         f = T.dropout(f, *drop)
-    return T.residual_linear(h, f, p("ffn.w2"), p("ffn.b2"))
+    return T.linear(f, p("ffn.w2"), p("ffn.b2"), h)
 
 
 def _gru_layer(h_seq, params, prefix):

@@ -22,10 +22,10 @@ Conventions:
     until ``zero_grad()`` is called;
   * a node keeps only what its backward pass reads: ``dropout`` keeps a
     one-byte keep mask and rebuilds the 0 or 1/(1-p) multiplier where it
-    multiplies; ``residual_linear`` (``h + dropout(x @ w + b)``) keeps ``x``
-    and the mask but neither the linear nor the dropout output; and
-    ``multi_head_attention`` keeps its packed q|k|v parent and the softmax
-    weights, and rebuilds the zero-padded q|k|v array in its backward;
+    multiplies; ``linear`` with a residual (``h + dropout(x @ w + b)``)
+    keeps ``x`` and the mask but neither the linear nor the dropout output;
+    and ``multi_head_attention`` keeps its packed q|k|v parent and the
+    softmax weights, and rebuilds the zero-padded q|k|v array in its backward;
   * broadcasting is deliberately restricted: learnable operands broadcast
     only as 1-D bias vectors over rows; arbitrary broadcasting is allowed
     only for non-learnable constants (``add_const`` / ``mul_const``);
@@ -34,9 +34,9 @@ Conventions:
     step's gates and states, and the hand-written backward pass runs
     through time in reverse, then forms each weight, bias and input
     gradient with one GEMM or one sum over all steps;
-  * the transformer's fused ops: ``linear`` is ``x @ w + b`` as one node
-    (one GEMM each for the forward and the input and weight gradients),
-    ``residual_linear`` is ``h + dropout(x @ w + b)`` as one node, and
+  * the transformer's fused ops: ``linear`` is ``h + dropout(x @ w + b)``
+    as one node, the residual ``h`` and the dropout optional (one GEMM each
+    for the forward and the input and weight gradients), and
     ``multi_head_attention`` runs every head as one node with an analytic
     backward; all work on packed rows, the valid positions of a padded
     batch gathered by ``pack_rows`` and scattered back by ``unpack_rows``.
@@ -251,15 +251,6 @@ def mul(a, b):
     return _result(a.data * b.data, (a, b), backward)
 
 
-def scale(a, s):
-    s = float(s)
-
-    def backward(g):
-        _accumulate(a, g * s)
-
-    return _result(a.data * s, (a,), backward)
-
-
 def add_const(a, c):
     """Add a non-learnable constant; numpy broadcasting onto ``a`` allowed."""
     c = np.asarray(c, dtype=a.data.dtype)
@@ -290,10 +281,6 @@ def mul_const(a, c):
 
 # ---------------------------------------------------------------------------
 # elementwise operations
-
-
-def neg(a):
-    return scale(a, -1.0)
 
 
 def texp(a):
@@ -562,15 +549,6 @@ def dropout(a, p, rng, rows=None, padded_rows=None):
 # inside.
 
 
-def _check_linear(op, x, w, b):
-    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeError(
-            f"{op} needs x (..., k), w (k, n) and b (n,), got {_fmt(x.shape)}, "
-            f"{_fmt(w.shape)} and {_fmt(b.shape)}"
-        )
-
-
 def _promoted(arr, *others):
     """``arr`` cast up to the dtype numpy's promotion gives it beside
     ``others``, so a float32 product that a float64 operand is added into in
@@ -578,51 +556,27 @@ def _promoted(arr, *others):
     return arr.astype(np.result_type(arr, *others), copy=False)
 
 
-def _linear_grads(x, xf, w, b, gf):
-    """Input, weight and bias gradients of ``xf @ w + b`` from the (M, n)
-    output gradient ``gf``; ``xf`` is ``x`` with its leading axes flattened."""
-    if x.requires_grad:
-        _accumulate(x, (gf @ w.data.T).reshape(x.shape))
-    if w.requires_grad:
-        _accumulate(w, xf.T @ gf)
-    if b.requires_grad:
-        _accumulate(b, gf.sum(axis=0))
-
-
-def linear(x, w, b):
-    """``x @ w + b`` as one node: one GEMM, then the bias added in place.
+def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None):
+    """``residual + dropout(x @ w + b)`` as one node: one GEMM, then the bias,
+    the dropout multiplier and the residual applied in place.
 
     ``x`` is (..., k), ``w`` (k, n) and ``b`` (n,); the leading axes of ``x``
-    are flattened into the GEMM's rows.  The values equal
-    ``add(matmul(x, w), b)`` bit for bit, forward and backward.
+    are flattened into the GEMM's rows.  ``residual`` (None for none) has the
+    output's shape; ``p == 0`` means no dropout, and the dropout arguments
+    are those of ``dropout``.  The node's parents are (residual, x, w, b), or
+    (x, w, b) without a residual, so it keeps neither the linear nor the
+    dropout output, only ``x`` and the boolean keep mask.  The values and the
+    random draws equal ``add(residual, dropout(add(matmul(x, w), b), p, rng,
+    rows, padded_rows))`` bit for bit, forward and backward.
     """
-    _check_linear("linear", x, w, b)
-    k, n = w.shape
-    xf = x.data.reshape(-1, k)
-    out = _promoted(xf @ w.data, b.data)
-    out += b.data
-
-    def backward(g):
-        _linear_grads(x, xf, w, b, g.reshape(-1, n))
-
-    return _result(out.reshape(x.shape[:-1] + (n,)), (x, w, b), backward)
-
-
-def residual_linear(h, x, w, b, p=0.0, rng=None, rows=None, padded_rows=None):
-    """``h + dropout(x @ w + b)`` as one node; ``p == 0`` means no dropout.
-
-    The dropout arguments are those of ``dropout``.  The node's parents are
-    (h, x, w, b), so it keeps neither the linear nor the dropout output, only
-    ``x`` and the boolean keep mask.  The values and the random draws equal
-    ``add(h, dropout(linear(x, w, b), p, rng, rows, padded_rows))`` bit for
-    bit, forward and backward.
-    """
-    _check_linear("residual_linear", x, w, b)
-    k, n = w.shape
-    if h.shape != x.shape[:-1] + (n,):
+    k, n = w.shape if w.data.ndim == 2 else (0, 0)
+    shape = x.shape[:-1] + (n,)
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != k or b.shape != (n,)
+            or residual is not None and residual.shape != shape):
         raise ShapeError(
-            f"residual_linear adds {_fmt(x.shape[:-1] + (n,))} onto a residual of "
-            f"shape {_fmt(h.shape)}"
+            f"linear needs x (..., k), w (k, n), b (n,) and a residual of the output's "
+            f"shape, got {_fmt(x.shape)}, {_fmt(w.shape)}, {_fmt(b.shape)} and "
+            f"{'none' if residual is None else _fmt(residual.shape)}"
         )
     xf = x.data.reshape(-1, k)
     out = _promoted(xf @ w.data, b.data)
@@ -630,19 +584,27 @@ def residual_linear(h, x, w, b, p=0.0, rng=None, rows=None, padded_rows=None):
     dt = out.dtype
     keep = None
     if p != 0.0:
-        keep = _keep_mask(h.shape, p, rng, rows, padded_rows).reshape(-1, n)
+        keep = _keep_mask(shape, p, rng, rows, padded_rows).reshape(-1, n)
         out *= _keep_scale(keep, p, dt)
-    out += h.data.reshape(-1, n)
+    parents = (x, w, b)
+    if residual is not None:
+        out += residual.data.reshape(-1, n)
+        parents = (residual,) + parents
 
     def backward(g):
-        if h.requires_grad:
-            _accumulate(h, g, alias=True)
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, g, alias=True)
         gf = g.reshape(-1, n)
         if keep is not None:
             gf = gf * _keep_scale(keep, p, dt)
-        _linear_grads(x, xf, w, b, gf)
+        if x.requires_grad:
+            _accumulate(x, (gf @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, xf.T @ gf)
+        if b.requires_grad:
+            _accumulate(b, gf.sum(axis=0))
 
-    return _result(out.reshape(h.shape), (h, x, w, b), backward)
+    return _result(out.reshape(shape), parents, backward)
 
 
 def pack_rows(a, rows):

@@ -21,6 +21,16 @@ from .features import (FOREST_TREES, forest_selection, notes_tfidf, prepare_bund
 from .model import ReadmissionModel, collate
 
 
+def _check_finite(cfg, *names):
+    """ConfigError naming the first of ``cfg``'s fields ``names`` that is NaN
+    or infinite: such a setting would fail later, or quietly do nothing,
+    without naming itself."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class LossConfig:
     alpha: float = 0.25
@@ -28,6 +38,7 @@ class LossConfig:
     smooth: float = 0.1
 
     def __post_init__(self):
+        _check_finite(self, "alpha", "gamma")
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.gamma < 0:
@@ -59,9 +70,9 @@ def focal_loss(logits, targets, cfg):
         raise ConfigError("focal_loss needs at least one element")
     smoothed = label_smooth(targets, cfg.smooth)
     bce = T.bce_with_logits(logits, smoothed)
-    p_t = T.texp(T.neg(bce))
-    focus = T.pow_const(T.add_const(T.neg(p_t), 1.0), cfg.gamma)
-    return T.scale(T.mul(focus, bce), cfg.alpha).mean()
+    p_t = T.texp(T.mul_const(bce, -1.0))
+    focus = T.pow_const(T.add_const(T.mul_const(p_t, -1.0), 1.0), cfg.gamma)
+    return T.mul_const(T.mul(focus, bce), cfg.alpha).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +93,7 @@ class NoiseSchedule:
     intercept: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, "r_initial", "r_final", "amplitude", "period", "intercept")
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise schedule kind {self.kind!r}")
         if self.kind == "linear" and (self.r_initial < 0 or self.r_final < 0):
@@ -153,6 +165,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, "lr_max", "lr_min", "grad_clip", "weight_decay")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr_min > self.lr_max:

@@ -361,6 +361,33 @@ def test_configured_k_ehr_that_differs_is_rejected(tmp_path, workspace, command,
     assert not out.exists()
 
 
+def test_train_takes_selection_or_no_select_not_both(tmp_path, workspace, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["train", "--data", str(workspace["data"]), "--out", str(out), "--epochs", "1",
+                  "--selection", str(workspace["sel"]), "--no-select"])
+    assert info.value.code == 2
+    assert "--no-select: not allowed with argument --selection" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, member", [("train", "model.json"),
+                                             ("kfold", "member_00.json")])
+def test_selection_without_ehr_leaves_the_configured_k_ehr(tmp_path, workspace, command,
+                                                           member):
+    """train and kfold share one rule: a selection sets k_ehr only when ehr is
+    active, so without ehr a configured k_ehr stands."""
+    cfg = tmp_path / "k.ini"
+    cfg.write_text("[model]\nk_ehr = 20\n")
+    out = tmp_path / "o"
+    extra = ["--k", "2", "--trees", "5"] if command == "kfold" else []
+    code = cli.main([command, "--data", str(workspace["data"]), "--out", str(out), "--config",
+                     str(cfg), "--epochs", "1", "--modalities", "notes", "--selection",
+                     str(workspace["sel"])] + extra)
+    assert code == 0
+    assert json.loads((out / member).read_text())["config"]["k_ehr"] == 20
+
+
 def test_configured_k_ehr_that_matches_the_selection_is_kept(tmp_path, workspace):
     cfg = tmp_path / "k.ini"
     cfg.write_text("[model]\nk_ehr = 10\n")
@@ -789,6 +816,26 @@ def test_train_noise_warmup_zero_rejected_before_any_output(tmp_path, workspace)
                 "--epochs", 1, "--noise-warmup", 0)
     assert r.returncode == 2
     assert "warmup" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, field", [
+    ("train", "--lr-max=nan", "lr_max"), ("train", "--lr-max=inf", "lr_max"),
+    ("train", "--lr-min=nan", "lr_min"), ("train", "--grad-clip=nan", "grad_clip"),
+    ("train", "--weight-decay=nan", "weight_decay"), ("train", "--alpha=nan", "alpha"),
+    ("train", "--gamma=inf", "gamma"), ("train", "--noise-initial=nan", "r_initial"),
+    ("train", "--noise-final=nan", "r_final"), ("train", "--noise-amplitude=inf", "amplitude"),
+    ("train", "--noise-period=inf", "period"), ("train", "--noise-intercept=-inf", "intercept"),
+    ("kfold", "--grad-clip=nan", "grad_clip"),
+])
+def test_non_finite_setting_is_a_config_error_naming_the_field(tmp_path, workspace, capsys,
+                                                              command, setting, field):
+    out = tmp_path / "o"
+    code = cli.main([command, "--data", str(workspace["data"]), "--out", str(out),
+                     "--epochs", "1", setting] + (["--no-select"] if command == "train" else []))
+    assert code == 2
+    value = setting.split("=")[1]
+    assert f"config error: {field} must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 

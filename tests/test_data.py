@@ -5,6 +5,7 @@ import re
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,18 @@ def test_load_rejects_container_and_id_types(tmp_path, changes, problem):
                                             f"line 2: {problem}"]
 
 
+@pytest.mark.parametrize("field", ["patient_id", "label", "ehr", "notes"])
+def test_load_names_a_line_nested_too_deeply_for_json(tmp_path, field):
+    """json recurses once per nesting level; a line nested deeper than it can
+    read is malformed JSON on its line, not a RecursionError."""
+    path = tmp_path / "deep.jsonl"
+    path.write_text(_record_line() + "\n"
+                    + _record_line(**{field: "[" * 5000 + "]" * 5000}) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: malformed JSON: "
+                                        "maximum recursion depth exceeded"):
+        load_dataset(path)
+
+
 def test_load_reads_empty_modalities_and_integer_admission_ids(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_text(_record_line(cxr="[]", notes="[]", admission_id="12") + "\n"
@@ -190,9 +203,14 @@ def test_load_reads_empty_modalities_and_integer_admission_ids(tmp_path):
     assert second.notes.shape == (0, 1024)
 
 
+def _reject(line):
+    raise orjson.JSONDecodeError("rejected", line, 0)
+
+
 def _load_with_json(path):
-    """load_dataset with json.loads as its line parser: the reference reader."""
-    with mock.patch.object(data, "_parse_line", json.loads):
+    """load_dataset with orjson rejecting every line, so json.loads reads
+    each one: the reference reader."""
+    with mock.patch.object(data.orjson, "loads", _reject):
         return load_dataset(path)
 
 

@@ -254,7 +254,7 @@ def _reference_attention_block(h, key_bias, params, prefix, cfg, training, rng):
         qi = T.slice_last(q, i * dh, (i + 1) * dh)
         ki = T.slice_last(k, i * dh, (i + 1) * dh)
         vi = T.slice_last(v, i * dh, (i + 1) * dh)
-        scores = T.scale(T.matmul(qi, T.transpose_last2(ki)), 1.0 / math.sqrt(dh))
+        scores = T.mul_const(T.matmul(qi, T.transpose_last2(ki)), 1.0 / math.sqrt(dh))
         scores = T.add_const(scores, key_bias)
         heads.append(T.matmul(T.softmax(scores, axis=-1), vi))
     att = T.concat(heads, axis=-1)
@@ -334,19 +334,14 @@ def test_transformer_linear_ops_see_only_valid_rows(monkeypatch):
     batch = _ragged_ehr_notes_batch(np.float64)
     params = build_parameters(cfg)
     seen = []
-    linear, residual_linear = T.linear, T.residual_linear
+    linear = T.linear
 
-    def spy(x, w, b):
+    def spy(x, w, b, *residual_and_drop):
         seen.append(x.shape[0])
-        return linear(x, w, b)
-
-    def residual_spy(h, x, w, b, *drop):
-        seen.append(x.shape[0])
-        return residual_linear(h, x, w, b, *drop)
+        return linear(x, w, b, *residual_and_drop)
 
     monkeypatch.setattr(T, "linear", spy)
-    monkeypatch.setattr(T, "residual_linear", residual_spy)
-    # per layer: q|k|v and ffn.w1 through linear, attn.wo and ffn.w2 through residual_linear
+    # per layer: q|k|v, attn.wo, ffn.w1 and ffn.w2
     for mod, n_linear in (("ehr", 1 + 2 * 4), ("notes", 1 + 1 * 4)):
         seen.clear()
         mask = batch.masks[mod]
@@ -480,7 +475,7 @@ def _reference_gru(h_seq, params, prefix, batch, d, dtype):
         z = T.sigmoid(T.add(T.add(T.matmul(x, wz), T.matmul(state, uz)), bz))
         n = T.tanh(T.add(T.add(T.matmul(x, wn), T.mul(r, T.matmul(state, un))), bn))
         keep = T.mul(z, state)
-        state = T.add(keep, T.mul(T.add_const(T.neg(z), 1.0), n))
+        state = T.add(keep, T.mul(T.add_const(T.mul_const(z, -1.0), 1.0), n))
         outputs.append(T.reshape(state, (batch, 1, d)))
     return T.concat(outputs, axis=-2)
 

@@ -247,8 +247,6 @@ def test_no_graph_without_grad_operands():
 # Every op whose node has one parent, applied to a (2, 3) operand of positive
 # values.  Their backward closures accumulate without testing requires_grad.
 SINGLE_PARENT = {
-    "scale": lambda a: T.scale(a, 2.0),
-    "neg": T.neg,
     "add_const": lambda a: T.add_const(a, 1.0),
     "mul_const": lambda a: T.mul_const(a, np.array([1.0, 2.0, 3.0])),
     "texp": T.texp,
@@ -340,7 +338,7 @@ def test_backward_composite_attention_layer():
         q = T.matmul(x, wq)
         k = T.matmul(x, wk)
         v = T.matmul(x, wv)
-        scores = T.scale(T.matmul(q, T.transpose_last2(k)), 1.0 / math.sqrt(d))
+        scores = T.mul_const(T.matmul(q, T.transpose_last2(k)), 1.0 / math.sqrt(d))
         att = T.matmul(T.softmax(scores, axis=-1), v)
         return T.mul(att, att).mean()
 
@@ -728,6 +726,12 @@ def _residual_operands(dtype=np.float64):
     return [v.astype(dtype) for v in values], rows, rng.normal(size=(n, 3)).astype(dtype)
 
 
+def _residual_linear(h, x, w, b, *drop):
+    """``linear`` with the residual first, the operand order of
+    ``_residual_operands``."""
+    return T.linear(x, w, b, h, *drop)
+
+
 def _drop_args(drop, rows):
     """``dropout``'s trailing arguments for one RESIDUAL_DROP case, with a
     fresh generator so every call draws the same mask."""
@@ -745,7 +749,7 @@ def test_residual_linear_gradient(drop, index):
     def fn(t):
         operands = [Tensor(v) for v in values]
         operands[index] = t
-        return T.mul_const(T.residual_linear(*operands, *_drop_args(drop, rows)), weights).sum()
+        return T.mul_const(_residual_linear(*operands, *_drop_args(drop, rows)), weights).sum()
 
     assert grad_check(fn, leaf(values[index])) < 1e-4
 
@@ -767,7 +771,7 @@ def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
         state = args[1].bit_generator.state if args else None
         return [out.data] + [t.grad for t in operands], state
 
-    fused, fused_state = run(T.residual_linear)
+    fused, fused_state = run(_residual_linear)
     ref, ref_state = run(composed)
     assert fused_state == ref_state
     for got, want in zip(fused, ref):
@@ -778,7 +782,7 @@ def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
 def test_residual_linear_keeps_neither_linear_nor_dropout_output():
     values, rows, _ = _residual_operands()
     h, x, w, b = (Tensor(v, requires_grad=True) for v in values)
-    out = T.residual_linear(h, x, w, b, 0.3, np.random.default_rng(31), rows, 9)
+    out = T.linear(x, w, b, h, 0.3, np.random.default_rng(31), rows, 9)
     assert out._parents == (h, x, w, b)
     kept = [arr for arr in _closure_arrays(out._backward) if arr.dtype != bool]
     assert all(np.shares_memory(arr, x.data) or np.shares_memory(arr, w.data)
@@ -788,12 +792,12 @@ def test_residual_linear_keeps_neither_linear_nor_dropout_output():
 def test_residual_linear_rejects_mismatched_shapes():
     h, x = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3)))
     w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
-    with pytest.raises(ShapeError, match="residual_linear"):
-        T.residual_linear(Tensor(np.zeros((3, 4))), x, w, b)
-    with pytest.raises(ShapeError, match="residual_linear"):
-        T.residual_linear(h, x, Tensor(np.zeros((2, 4))), b)
+    with pytest.raises(ShapeError, match="residual of the output's shape"):
+        T.linear(x, w, b, Tensor(np.zeros((3, 4))))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(x, Tensor(np.zeros((2, 4))), b, h)
     with pytest.raises(ValueError, match="dropout rate"):
-        T.residual_linear(h, x, w, b, 1.0, np.random.default_rng(0))
+        T.linear(x, w, b, h, 1.0, np.random.default_rng(0))
 
 
 def test_multi_head_attention_keeps_no_padded_qkv():
