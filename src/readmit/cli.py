@@ -223,6 +223,13 @@ def _load_data(path):
     return load_dataset(_require_file(path, "dataset"))
 
 
+def _jobs(jobs):
+    """``--jobs``, which must be at least 1."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def _ehr_width(k, name, ds, path):
     """``k`` EHR columns, else min(ModelConfig.k_ehr, the width of ``ds``); a
     ``k`` above that width is a ConfigError naming setting ``name``, and a
@@ -287,12 +294,12 @@ def cmd_synth(args):
 
 
 def cmd_select_features(args):
+    jobs = _jobs(args.jobs)
     ds = _load_data(args.data)
     fracs, split_seed = _split_spec(resolve_settings(args, {}))
     train_ds, _, _ = split_by_patient(ds, fracs, seed=split_seed)
     top_k = _ehr_width(args.top_k, "--top-k", ds, args.data)
-    sel = forest_selection(train_ds.records, top_k, args.trees, _default_seed(args.seed),
-                           args.jobs)
+    sel = forest_selection(train_ds.records, top_k, args.trees, _default_seed(args.seed), jobs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
@@ -361,6 +368,7 @@ def cmd_train(args):
 
 
 def cmd_kfold(args):
+    jobs = _jobs(args.jobs)
     data_path = Path(args.data)
     ds = _load_data(data_path)
     holdout = None
@@ -383,7 +391,7 @@ def cmd_kfold(args):
     started = time.perf_counter()
     ensemble = kfold_train(ds.records, model_cfg, train_cfg, k=args.k,
                            fold_seed=train_cfg.seed, selection=selection,
-                           jobs=args.jobs, trees=args.trees)
+                           jobs=jobs, trees=args.trees)
     runtime = time.perf_counter() - started
 
     out_dir = Path(args.out)

@@ -27,10 +27,12 @@ is more than 1e-15 below the best so far; within a feature the lowest cut
 wins.
 """
 
+import ctypes
+import os
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -244,9 +246,11 @@ def _gini(p1, out):
     return out
 
 
-def _fit_trees(X, y, seed, indices):
-    """The importances of trees ``indices``, in batches of at most
-    _ROW_BUDGET rows; tree i draws only from its own (seed, i) stream."""
+def _fit_trees(shared, indices):
+    """The importances of trees ``indices`` of the forest on ``shared`` =
+    (X, y, seed), in batches of at most _ROW_BUDGET rows; tree i draws only
+    from its own (seed, i) stream."""
+    X, y, seed = shared
     m = X.shape[0]
     per_batch = max(1, _ROW_BUDGET // m)
     ranks = np.array([np.unique(col, return_inverse=True)[1] for col in X.T])
@@ -259,7 +263,7 @@ def _fit_trees(X, y, seed, indices):
 
 def train_random_forest(X, y, n_trees=FOREST_TREES, seed=0, jobs=1):
     """Fit a bootstrap forest; deterministic given (X, y, seed) for any jobs.
-    Each worker fits one contiguous range of trees, so X and y are sent once."""
+    Each worker fits one contiguous range of trees and gets X and y once."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[0] < 2:
@@ -270,26 +274,93 @@ def train_random_forest(X, y, n_trees=FOREST_TREES, seed=0, jobs=1):
         raise DataError("degenerate labels: only one class present")
     if np.isnan(X).any():
         raise DataError("forest input contains NaN")
-    jobs = max(jobs, 1)
     ranges = [range(n_trees * w // jobs, n_trees * (w + 1) // jobs) for w in range(jobs)]
-    parts = process_map(partial(_fit_trees, X, y, seed), ranges, jobs, f"{n_trees} trees")
+    parts = process_map(_fit_trees, ranges, jobs, f"{n_trees} trees", shared=(X, y, seed))
     return Forest(trees=[t for part in parts for t in part])
 
 
-def process_map(fn, args, jobs, what):
-    """``[fn(a) for a in args]``, on ``jobs`` worker processes when jobs > 1.
-    If the pool cannot start, warn and run the calls in order; ``what``
-    names the calls in the warning."""
-    if jobs > 1:
+def process_map(fn, args, jobs, what, shared=None):
+    """``[fn(shared, a) for a in args]``, on min(jobs, len(args)) worker
+    processes when that is more than one.
+
+    Each worker gets ``fn`` and ``shared`` once, from the pool's initializer
+    (inherited, not pickled, under fork), and each task sends only its
+    ``a``.  Each worker caps every loaded BLAS, numpy's included, at one
+    thread, so the workers do not oversubscribe the cores; this process
+    keeps its own count.  If no thread setter is found, warn and run the
+    workers at the BLAS's default count.  If the pool cannot start, warn and run the calls
+    in order; ``what`` names the calls in the warnings."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        setters = blas_thread_symbols("set")
+        if not setters:
+            warnings.warn(f"no BLAS thread setter among the loaded libraries; {what} run on "
+                          f"{workers} workers at the BLAS's default thread count",
+                          RuntimeWarning, stacklevel=3)
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(fn, args))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                     initargs=(setters, fn, shared)) as pool:
+                return list(pool.map(_run_task, args))
         except OSError as exc:
             warnings.warn(f"process pool failed ({exc!r}); running {what} sequentially",
                           RuntimeWarning, stacklevel=3)
-    return [fn(a) for a in args]
+    return [fn(shared, a) for a in args]
+
+
+# A pool worker's (fn, shared), set once by _start_worker in each worker
+# process; tasks then carry only their argument.
+_worker_task = None
+
+
+def _start_worker(setters, fn, shared):
+    global _worker_task
+    for path, name in setters:
+        setter = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD), name)
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+    _worker_task = (fn, shared)
+
+
+def _run_task(a):
+    fn, shared = _worker_task
+    return fn(shared, a)
+
+
+# The thread-count functions of OpenBLAS, under its plain, 64-bit-integer
+# and scipy-openblas names, and of BLIS; "{}" is "set" or "get".
+_BLAS_THREAD_SYMBOLS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                        "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+                        "bli_thread_{}_num_threads")
+
+
+def blas_thread_symbols(verb):
+    """(path, symbol) of each loaded shared object's BLAS thread-count
+    function ``verb`` ("set" or "get").  Finds none where /proc/self/maps
+    does not list the loaded objects (outside Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and ".so" in f[5]})
+    found = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in (n.format(verb) for n in _BLAS_THREAD_SYMBOLS):
+            if hasattr(lib, name):
+                # A lookup in an object also finds its dependencies' symbols:
+                # keep one entry per function.
+                address = ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+                found.setdefault(address, (path, name))
+    return list(found.values())
 
 
 def feature_importances(forest):
@@ -356,10 +427,15 @@ def forest_selection(records, k, trees, seed, jobs=1):
     return select_top_k(feature_importances(forest), k)
 
 
+def has_note_text(records, modalities):
+    """Whether notes are active and some of ``records`` carry note text."""
+    return "notes" in modalities and any(r.notes_kind == "text" for r in records)
+
+
 def notes_tfidf(records, modalities):
     """The TF-IDF fit on the note text of ``records``; None when notes are
     inactive or every record carries note vectors."""
-    if "notes" not in modalities or all(r.notes_kind != "text" for r in records):
+    if not has_note_text(records, modalities):
         return None
     corpus = [note for r in records if r.notes_kind == "text" for note in r.notes]
     if not corpus:

@@ -16,8 +16,8 @@ from scipy.special import expit
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import auc
-from .features import (FOREST_TREES, forest_selection, notes_tfidf, prepare_bundles,
-                       process_map)
+from .features import (FOREST_TREES, forest_selection, has_note_text, notes_tfidf,
+                       prepare_bundles, process_map)
 from .model import ReadmissionModel, collate
 
 
@@ -407,21 +407,26 @@ def patient_folds(records, k, seed=0):
     return np.array([fold_of[r.patient_id] for r in records], dtype=int)
 
 
-def _train_fold(args):
+def _train_fold(shared, fold):
     """Fold ``fold``'s trained member (no gradient buffers), validation AUC and
-    (selection, tfidf); a selection or TF-IDF not given is fit on the fold's
-    training records."""
-    (records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees) = args
+    (selection, tfidf).  ``shared`` carries the bundles and labels of every
+    record when the caller gave the whole pipeline; otherwise the fold fits
+    the selection or TF-IDF not given on its training records and builds
+    every record's bundle with them."""
+    records, fold_ids, model_cfg, train_cfg, selection, tfidf, trees, prepared = shared
     cfg = replace(model_cfg, seed=model_cfg.seed + fold)
-    train_recs = [r for r, f in zip(records, fold_ids) if f != fold]
-    val_recs = [r for r, f in zip(records, fold_ids) if f == fold]
-    if selection is None and "ehr" in cfg.modalities:
-        selection = forest_selection(train_recs, cfg.k_ehr, trees, train_cfg.seed)
-    if tfidf is None:
-        tfidf = notes_tfidf(train_recs, cfg.modalities)
-    tb, tl = prepare_bundles(train_recs, cfg.modalities, selection, tfidf, **cfg.caps())
-    vb, vl = prepare_bundles(val_recs, cfg.modalities, selection, tfidf, **cfg.caps())
-    result = train(ReadmissionModel(cfg), tb, tl, vb, vl,
+    train_idx = np.flatnonzero(fold_ids != fold)
+    val_idx = np.flatnonzero(fold_ids == fold)
+    if prepared is None:
+        train_recs = [records[i] for i in train_idx]
+        if selection is None and "ehr" in cfg.modalities:
+            selection = forest_selection(train_recs, cfg.k_ehr, trees, train_cfg.seed)
+        if tfidf is None:
+            tfidf = notes_tfidf(train_recs, cfg.modalities)
+        prepared = prepare_bundles(records, cfg.modalities, selection, tfidf, **cfg.caps())
+    bundles, labels = prepared
+    result = train(ReadmissionModel(cfg), [bundles[i] for i in train_idx], labels[train_idx],
+                   [bundles[i] for i in val_idx], labels[val_idx],
                    replace(train_cfg, seed=train_cfg.seed + fold))
     result.model.zero_grad()
     return result.model, result.best_val_auc, (selection, tfidf)
@@ -442,10 +447,12 @@ def kfold_train(records, model_cfg, train_cfg, k=FOLDS, fold_seed=0,
     forest seeded with ``train_cfg.seed``.
     """
     fold_ids = patient_folds(records, k, seed=fold_seed)
-    results = process_map(
-        _train_fold,
-        [(records, fold_ids, fold, model_cfg, train_cfg, selection, tfidf, trees)
-         for fold in range(k)],
-        jobs, f"{k} folds")
+    mods = model_cfg.modalities
+    prepared = None
+    if ((selection is not None or "ehr" not in mods)
+            and (tfidf is not None or not has_note_text(records, mods))):
+        prepared = prepare_bundles(records, mods, selection, tfidf, **model_cfg.caps())
+    shared = (records, fold_ids, model_cfg, train_cfg, selection, tfidf, trees, prepared)
+    results = process_map(_train_fold, range(k), jobs, f"{k} folds", shared=shared)
     members, aucs, pipelines = (list(col) for col in zip(*results))
     return Ensemble(members=members, fold_val_aucs=aucs, pipelines=pipelines)

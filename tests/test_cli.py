@@ -773,6 +773,29 @@ def test_kfold_jobs_deterministic_members(tmp_path, workspace):
 
 
 @pytest.mark.parametrize("command,extra", [
+    ("select-features", ("--top-k", 5)), ("kfold", ("--k", 2, "--epochs", 1)),
+])
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_config_error(tmp_path, workspace, pool_sizes, capsys,
+                                          command, extra, jobs):
+    out = tmp_path / "out"
+    code = cli.main([command, "--data", str(workspace["data"]), "--out", str(out),
+                     "--jobs", str(jobs), *map(str, extra)])
+    assert code == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists() and pool_sizes == []
+
+
+def test_kfold_starts_no_more_workers_than_folds(tmp_path, workspace, pool_sizes):
+    with pytest.warns(RuntimeWarning, match="2 folds sequentially"):
+        code = cli.main(["kfold", "--data", str(workspace["data"]), "--out", str(tmp_path / "kf"),
+                         "--k", "2", "--epochs", "1", "--seed", "11", "--trees", "5",
+                         "--jobs", "8"])
+    assert code == 0
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("command,extra", [
     ("train", ("--no-select",)), ("kfold", ("--k", 2, "--trees", 5)),
 ])
 def test_fingerprint_follows_the_training_config(tmp_path, workspace, command, extra):

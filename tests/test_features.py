@@ -1,10 +1,12 @@
 """TF-IDF, random forest, feature selection, bundle construction."""
 
+import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -390,6 +392,94 @@ def test_forest_pool_failure_warns_and_fits_sequentially(monkeypatch):
     with pytest.warns(RuntimeWarning, match="OSError.*4 trees sequentially"):
         par = train_random_forest(X, y, n_trees=4, seed=2, jobs=2)
     np.testing.assert_array_equal(feature_importances(seq), feature_importances(par))
+
+
+# Each shared object a worker sees, kept alive so that two copies cannot
+# share an id.
+_kept = []
+
+
+def _pid_and_shared_id(shared, a):
+    _kept.append(shared)
+    return os.getpid(), id(shared)
+
+
+def test_process_map_gives_shared_to_each_worker_once():
+    shared = {"rows": np.arange(1000)}
+    got = features.process_map(_pid_and_shared_id, range(6), 2, "six calls", shared=shared)
+    pairs = set(got)
+    assert len(got) == 6 and len(pairs) <= 2
+    assert len({pid for pid, _ in pairs}) == len(pairs)       # one id per worker
+    try:
+        got = features.process_map(_pid_and_shared_id, range(3), 1, "three calls",
+                                   shared=shared)
+    finally:
+        _kept.clear()
+    assert got == [(os.getpid(), id(shared))] * 3
+
+
+def _blas_threads():
+    """What each loaded BLAS's thread getter reports in this process."""
+    counts = []
+    for path, name in features.blas_thread_symbols("get"):
+        getter = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD), name)
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+def _worker_blas_threads(shared, a):
+    return _blas_threads()
+
+
+def _set_blas_threads(counts):
+    for (path, name), n in zip(features.blas_thread_symbols("set"), counts, strict=True):
+        setter = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD), name)
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(n)
+
+
+def test_pool_workers_run_one_blas_thread_and_the_parent_keeps_its_count():
+    if not features.blas_thread_symbols("set"):
+        pytest.skip("no BLAS thread setter among the loaded libraries, so nothing to cap")
+    before = _blas_threads()
+    try:
+        _set_blas_threads([2] * len(before))
+        got = features.process_map(_worker_blas_threads, range(2), 2, "two calls")
+        parent = _blas_threads()
+    finally:
+        _set_blas_threads(before)
+    assert got == [[1] * len(before)] * 2
+    assert parent == [2] * len(before)
+
+
+def test_pool_without_a_blas_thread_setter_warns_and_still_runs(monkeypatch):
+    monkeypatch.setattr(features, "blas_thread_symbols", lambda verb: [])
+    with pytest.warns(RuntimeWarning, match="no BLAS thread setter.*3 calls run on 2 workers"):
+        got = features.process_map(_pid_and_shared_id, range(3), 2, "3 calls", shared=1)
+    _kept.clear()
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("jobs,n_args,workers", [(8, 3, [3]), (2, 5, [2]), (4, 1, [])])
+def test_process_map_starts_at_most_one_worker_per_call(pool_sizes, jobs, n_args, workers):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = features.process_map(lambda shared, a: a * shared, range(n_args), jobs, "calls",
+                                   shared=10)
+    assert got == [10 * a for a in range(n_args)]
+    assert pool_sizes == workers
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_config_error(jobs):
+    X, y = separable_data(n=20, seed=1)
+    with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        train_random_forest(X, y, n_trees=2, jobs=jobs)
+    with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        features.process_map(_pid_and_shared_id, range(2), jobs, "two calls")
 
 
 def test_forest_importance_goes_to_the_separating_column():

@@ -663,6 +663,48 @@ def test_kfold_pool_failure_warns_and_trains_sequentially(monkeypatch):
         assert all(a.params[n].data.tobytes() == b.params[n].data.tobytes() for n in a.params)
 
 
+@pytest.mark.parametrize("given", [True, False])
+@pytest.mark.parametrize("encoder", ["transformer", "gru"])
+def test_kfold_bundles_match_per_fold_bundles_and_are_built_once_when_given(
+        monkeypatch, encoder, given):
+    """Given the selection and the TF-IDF, kfold_train builds every record's
+    bundle once; otherwise once per fold.  Either way its members are the
+    bytes of a loop that builds each fold's train and val bundles apart."""
+    from readmit import features, training
+
+    records = synth_records(12, seed=2)
+    mods = ("ehr", "notes")
+    k, trees = 3, 5
+    model_cfg = ModelConfig(d_model=4, n_heads=2, ehr_layers=1, notes_layers=1, d_ff=6,
+                            k_ehr=4, modalities=mods, encoder=encoder, seed=5)
+    train_cfg = quick_train_cfg(epochs=2, noise=NoiseSchedule())
+    selection = features.forest_selection(records, 4, trees, seed=1) if given else None
+    tfidf = features.notes_tfidf(records, mods) if given else None
+    calls = []
+    build = training.prepare_bundles
+    monkeypatch.setattr(training, "prepare_bundles",
+                        lambda *a, **kw: calls.append(len(a[0])) or build(*a, **kw))
+    ensemble = kfold_train(records, model_cfg, train_cfg, k=k, fold_seed=1,
+                           selection=selection, tfidf=tfidf, jobs=1, trees=trees)
+    assert calls == [len(records)] * (1 if given else k)
+
+    fold_ids = patient_folds(records, k, seed=1)
+    for fold, member in enumerate(ensemble.members):
+        train_recs = [r for r, f in zip(records, fold_ids) if f != fold]
+        val_recs = [r for r, f in zip(records, fold_ids) if f == fold]
+        sel = selection or features.forest_selection(train_recs, 4, trees, train_cfg.seed)
+        tf = tfidf or features.notes_tfidf(train_recs, mods)
+        cfg = replace(model_cfg, seed=model_cfg.seed + fold)
+        tb, tl = build(train_recs, mods, sel, tf, **cfg.caps())
+        vb, vl = build(val_recs, mods, sel, tf, **cfg.caps())
+        ref = train(ReadmissionModel(cfg), tb, tl, vb, vl,
+                    replace(train_cfg, seed=train_cfg.seed + fold))
+        np.testing.assert_array_equal(ensemble.fold_val_aucs[fold], ref.best_val_auc)
+        assert ensemble.pipelines[fold][0].indices == sel.indices
+        for name, p in ref.model.params.items():
+            assert member.params[name].data.tobytes() == p.data.tobytes(), name
+
+
 def tiny_ehr_models(*seeds):
     cfg = dict(d_model=4, n_heads=2, ehr_layers=1, d_ff=6, dropout=0.0, k_ehr=3,
                modalities=("ehr",))
