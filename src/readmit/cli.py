@@ -304,7 +304,9 @@ def cmd_select_features(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(sel.to_json(), fh, sort_keys=True)
-    print(f"wrote {out}: top {sel.k} of {ds.d} features")
+    every = (", so every column is kept and the selection only reorders them; "
+             "--top-k keeps fewer" if sel.k == ds.d else "")
+    print(f"wrote {out}: top {sel.k} of {ds.d} features{every}")
     return 0
 
 

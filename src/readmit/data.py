@@ -124,6 +124,8 @@ def record_from_json(obj):
     for key in ("patient_id", "admission_id"):
         if isinstance(obj[key], bool) or not isinstance(obj[key], (str, int)):
             raise ValueError(f"{key} must be a string or an integer, got {obj[key]!r}")
+        if obj[key] == "":
+            raise ValueError(f"{key} must not be empty")
     for key in ("cxr", "notes"):
         if not isinstance(obj[key], list):
             raise ValueError(f"{key} must be a list, got {type(obj[key]).__name__}")

@@ -207,7 +207,7 @@ def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
         return params[f"{prefix}.{name}"]
 
     # dropout arguments for the packed rows: rate, generator, rows, padded rows
-    drop = (cfg.dropout, rng, rows, key_bias.shape[0] * key_bias.shape[2]) if training else ()
+    drop = (cfg.dropout if training else 0.0, rng, rows, key_bias.shape[0] * key_bias.shape[2])
 
     x = T.layer_norm(h, p("ln1.g"), p("ln1.b"))
     qkv = T.linear(x, T.concat([p("attn.wq"), p("attn.wk"), p("attn.wv")]),
@@ -216,9 +216,7 @@ def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
     h = T.linear(att, p("attn.wo"), p("attn.bo"), h, *drop)
 
     x2 = T.layer_norm(h, p("ln2.g"), p("ln2.b"))
-    f = T.gelu(T.linear(x2, p("ffn.w1"), p("ffn.b1")))
-    if training:
-        f = T.dropout(f, *drop)
+    f = T.linear(x2, p("ffn.w1"), p("ffn.b1"), None, *drop, True)   # True: the GELU
     return T.linear(f, p("ffn.w2"), p("ffn.b2"), h)
 
 
@@ -292,7 +290,7 @@ def fuse_and_predict(pooled, params):
     if got != expected:
         raise ConfigError(f"fusion expects concatenated width {expected}, got {got}")
     h = pooled[0] if len(pooled) == 1 else T.concat(pooled, axis=-1)
-    h = T.gelu(T.linear(h, params["fusion.w1"], params["fusion.b1"]))
+    h = T.linear(h, params["fusion.w1"], params["fusion.b1"], gelu=True)
     z = T.linear(h, params["fusion.w2"], params["fusion.b2"])
     return T.reshape(z, (z.shape[0],))
 

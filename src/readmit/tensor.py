@@ -22,8 +22,8 @@ Conventions:
     until ``zero_grad()`` is called;
   * a node keeps only what its backward pass reads: ``dropout`` keeps a
     one-byte keep mask and rebuilds the 0 or 1/(1-p) multiplier where it
-    multiplies; ``linear`` with a residual (``h + dropout(x @ w + b)``)
-    keeps ``x`` and the mask but neither the linear nor the dropout output;
+    multiplies; ``linear`` keeps ``x``, the mask and, with the GELU, the
+    GELU's input and CDF, but neither the GELU's nor the dropout's output;
     and ``multi_head_attention`` keeps its packed q|k|v parent and the
     softmax weights, and rebuilds the zero-padded q|k|v array in its backward;
   * broadcasting is deliberately restricted: learnable operands broadcast
@@ -34,9 +34,9 @@ Conventions:
     step's gates and states, and the hand-written backward pass runs
     through time in reverse, then forms each weight, bias and input
     gradient with one GEMM or one sum over all steps;
-  * the transformer's fused ops: ``linear`` is ``h + dropout(x @ w + b)``
-    as one node, the residual ``h`` and the dropout optional (one GEMM each
-    for the forward and the input and weight gradients), and
+  * the transformer's fused ops: ``linear`` is ``h + dropout(gelu(x @ w + b))``
+    as one node, with ``h``, the exact GELU and the dropout optional (one
+    GEMM each for the forward and the input and weight gradients), and
     ``multi_head_attention`` runs every head as one node with an analytic
     backward; all work on packed rows, the valid positions of a padded
     batch gathered by ``pack_rows`` and scattered back by ``unpack_rows``.
@@ -325,17 +325,25 @@ def sigmoid(a):
     return _result(out_data, (a,), backward)
 
 
+def _gelu_cdf(x):
+    """Phi(x), the standard normal CDF: exact GELU is ``x * _gelu_cdf(x)``."""
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _gelu_slope(x, cdf):
+    """d/dx of ``x * cdf`` with ``cdf = _gelu_cdf(x)``: Phi(x) + x phi(x)."""
+    return cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+
+
 def gelu(a):
     """Exact (erf-based) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out_data = x * cdf
+    cdf = _gelu_cdf(x)
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        _accumulate(a, g * (cdf + x * pdf))
+        _accumulate(a, g * _gelu_slope(x, cdf))
 
-    return _result(out_data, (a,), backward)
+    return _result(x * cdf, (a,), backward)
 
 
 def pow_const(a, p):
@@ -556,18 +564,18 @@ def _promoted(arr, *others):
     return arr.astype(np.result_type(arr, *others), copy=False)
 
 
-def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None):
-    """``residual + dropout(x @ w + b)`` as one node: one GEMM, then the bias,
-    the dropout multiplier and the residual applied in place.
+def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None, gelu=False):
+    """``residual + dropout(gelu(x @ w + b))`` as one node: one GEMM, then the
+    bias and, each optional, the GELU, the dropout multiplier and the residual.
 
     ``x`` is (..., k), ``w`` (k, n) and ``b`` (n,); the leading axes of ``x``
     are flattened into the GEMM's rows.  ``residual`` (None for none) has the
     output's shape; ``p == 0`` means no dropout, and the dropout arguments
-    are those of ``dropout``.  The node's parents are (residual, x, w, b), or
-    (x, w, b) without a residual, so it keeps neither the linear nor the
-    dropout output, only ``x`` and the boolean keep mask.  The values and the
-    random draws equal ``add(residual, dropout(add(matmul(x, w), b), p, rng,
-    rows, padded_rows))`` bit for bit, forward and backward.
+    are those of ``dropout``; ``gelu`` applies the exact GELU.  The parents
+    are (residual, x, w, b), or (x, w, b), and the node keeps only ``x``, the
+    keep mask and, with the GELU, ``x @ w + b`` and its CDF.  The values and
+    random draws equal ``add(residual, dropout(gelu(add(matmul(x, w), b)), p,
+    rng, rows, padded_rows))`` bit for bit, forward and backward.
     """
     k, n = w.shape if w.data.ndim == 2 else (0, 0)
     shape = x.shape[:-1] + (n,)
@@ -582,6 +590,10 @@ def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None)
     out = _promoted(xf @ w.data, b.data)
     out += b.data
     dt = out.dtype
+    pre = cdf = None
+    if gelu:
+        pre, cdf = out, _gelu_cdf(out)
+        out = pre * cdf
     keep = None
     if p != 0.0:
         keep = _keep_mask(shape, p, rng, rows, padded_rows).reshape(-1, n)
@@ -597,6 +609,8 @@ def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None)
         gf = g.reshape(-1, n)
         if keep is not None:
             gf = gf * _keep_scale(keep, p, dt)
+        if gelu:
+            gf = gf * _gelu_slope(pre, cdf)
         if x.requires_grad:
             _accumulate(x, (gf @ w.data.T).reshape(x.shape))
         if w.requires_grad:

@@ -159,6 +159,23 @@ def test_selection_bytes_are_pinned(tmp_path, workspace):
     assert out.read_bytes() == pinned
 
 
+@pytest.mark.parametrize("top_k", [None, 10], ids=["default", "top-k-10"])
+def test_selection_says_when_it_keeps_every_column(tmp_path, workspace, capsys, top_k):
+    """Without --top-k, 50-column data keeps min(k_ehr, 50) = 50 columns: the
+    output says that nothing is dropped and names --top-k."""
+    out = tmp_path / "sel.json"
+    flags = [] if top_k is None else ["--top-k", str(top_k)]
+    code = cli.main(["select-features", "--data", str(workspace["data"]), "--out", str(out),
+                     "--trees", "5", "--seed", "11", *flags])
+    assert code == 0
+    printed = capsys.readouterr().out.strip()
+    if top_k is None:
+        assert printed == (f"wrote {out}: top 50 of 50 features, so every column is kept "
+                           "and the selection only reorders them; --top-k keeps fewer")
+    else:
+        assert printed == f"wrote {out}: top 10 of 50 features"
+
+
 # ---------------------------------------------------------------------------
 # train
 

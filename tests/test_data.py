@@ -66,6 +66,22 @@ def test_load_rejects_patient_id_and_label_types(tmp_path):
     assert [r.patient_id for r in load_dataset(path).records] == ["7", "P1"]
 
 
+def test_load_rejects_empty_ids(tmp_path):
+    """An empty patient_id would group every such line into one patient, and
+    an empty admission_id names no admission: each is a problem of its line."""
+    good = record_to_json(make_record(pid="P1"))
+    lines = [dict(good, patient_id=""), good, dict(good, admission_id="")]
+    path = tmp_path / "empty-ids.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value).splitlines() == [
+        f"{path}: 2 invalid record(s):",
+        "line 1: patient_id must not be empty",
+        "line 3: admission_id must not be empty",
+    ]
+
+
 def test_validate_cxr_dim():
     rec = make_record()
     rec.cxr = np.zeros((2, 1023))

@@ -378,6 +378,24 @@ def test_training_graph_backward_twice_adds_exactly_twice():
         assert p.grad.tobytes() == (2 * once[name]).tobytes(), name
 
 
+def test_training_graph_has_no_gelu_or_dropout_node():
+    """The FFN's GELU and dropout and the fusion head's GELU run inside
+    ``linear`` nodes: a training step's graph holds one ``linear`` node per
+    dense layer and no ``gelu`` or ``dropout`` node."""
+    cfg = tiny_config(d_model=6, n_heads=3, ehr_layers=2, notes_layers=1, d_ff=8,
+                      dropout=0.1, modalities=("ehr", "notes"))
+    model = ReadmissionModel(cfg)
+    loss = focal_loss(model.forward_batch(_ragged_ehr_notes_batch(np.float64), training=True,
+                                          rng=np.random.default_rng(6)),
+                      np.array([1.0, 0.0, 0.0, 1.0, 0.0]), LossConfig())
+    ops = [node._backward.__qualname__.split(".")[0]
+           for node in _graph(loss) if node._backward is not None]
+    assert not {"gelu", "dropout"} & set(ops), sorted(set(ops))
+    # per modality the embedding and four per layer (q|k|v, attn.wo, ffn.w1
+    # and ffn.w2); fusion.w1 and fusion.w2
+    assert ops.count("linear") == (1 + 2 * 4) + (1 + 1 * 4) + 2
+
+
 # ---------------------------------------------------------------------------
 # parameter counting
 
@@ -537,17 +555,23 @@ def test_fused_recurrent_layer_matches_per_step_reference(kind, steps, dtype):
         np.testing.assert_allclose(fused[2][name], ref[2][name], err_msg=name, **tol)
 
 
-def _graph_nodes(root):
+def _graph(root):
     """Tensors reachable from ``root`` through the autodiff graph, root
-    included: the count perfbench reports as graph nodes per step."""
-    seen = {id(root)}
-    stack = [root]
+    included, each once."""
+    nodes, seen, stack = [], {id(root)}, [root]
     while stack:
-        for parent in stack.pop()._parents:
+        node = stack.pop()
+        nodes.append(node)
+        for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return len(seen)
+    return nodes
+
+
+def _graph_nodes(root):
+    """The count perfbench reports as graph nodes per step."""
+    return len(_graph(root))
 
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])

@@ -779,6 +779,52 @@ def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("residual", [False, True], ids=["no_residual", "residual"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
+def test_gelu_linear_equals_dropout_gelu_linear_bit_for_bit(drop, dtype, residual):
+    values, rows, weights = _residual_operands(dtype)
+
+    def fused(h, x, w, b, *args):
+        return T.linear(x, w, b, h if residual else None, *args, gelu=True)
+
+    def composed(h, x, w, b, *args):
+        y = T.gelu(T.linear(x, w, b))
+        y = T.dropout(y, *args) if args else y
+        return T.add(h, y) if residual else y
+
+    def run(op):
+        operands = [Tensor(v.copy(), requires_grad=True) for v in values]
+        args = _drop_args(drop, rows)
+        out = op(*operands, *args)
+        T.mul_const(out, weights).sum().backward()
+        state = args[1].bit_generator.state if args else None
+        return [out.data] + [t.grad for t in operands[0 if residual else 1:]], state
+
+    got, got_state = run(fused)
+    want, want_state = run(composed)
+    assert got_state == want_state
+    assert len(got) == len(want) == 4 + residual
+    for a, b in zip(got, want):
+        assert a.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("index", [1, 2, 3], ids=["x", "w", "b"])
+@pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
+def test_gelu_linear_gradient(drop, index):
+    values, rows, weights = _residual_operands()
+
+    def fn(t):
+        operands = [Tensor(v) for v in values]
+        operands[index] = t
+        h, x, w, b = operands
+        out = T.linear(x, w, b, h, *_drop_args(drop, rows), gelu=True)
+        return T.mul_const(out, weights).sum()
+
+    assert grad_check(fn, leaf(values[index])) < 1e-4
+
+
 def test_residual_linear_keeps_neither_linear_nor_dropout_output():
     values, rows, _ = _residual_operands()
     h, x, w, b = (Tensor(v, requires_grad=True) for v in values)
