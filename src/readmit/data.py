@@ -126,6 +126,8 @@ def record_from_json(obj):
             raise ValueError(f"{key} must be a string or an integer, got {obj[key]!r}")
         if obj[key] == "":
             raise ValueError(f"{key} must not be empty")
+        if isinstance(obj[key], str) and obj[key] != obj[key].strip():
+            raise ValueError(f"{key} must not start or end with whitespace, got {obj[key]!r}")
     for key in ("cxr", "notes"):
         if not isinstance(obj[key], list):
             raise ValueError(f"{key} must be a list, got {type(obj[key]).__name__}")

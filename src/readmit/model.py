@@ -169,35 +169,27 @@ def build_parameters(cfg):
 
 @dataclass
 class Batch:
-    """Collated padded inputs: per modality an (B, S, D) array and (B, S) mask."""
+    """Collated inputs: per modality the (N, D) rows of every bundle in order,
+    and a (B, S) mask whose row b marks bundle b's first lengths[b] steps."""
 
     arrays: dict
     masks: dict
 
 
 def collate(bundles, modalities, dtype=np.float64):
-    """Pad ``bundles`` into a Batch of ``dtype`` arrays.  The float64 default
-    is the reference precision: gradient checks such as acceptance 1's
-    tolerance hold on float64 batches only, so callers that want the model's
-    precision pass ``config.np_dtype()``."""
+    """Concatenate ``bundles`` into a Batch of ``dtype`` rows, with no padding.
+    The float64 default is the reference precision: gradient checks such as
+    acceptance 1's tolerance hold on float64 batches only, so callers that
+    want the model's precision pass ``config.np_dtype()``."""
     arrays = {}
     masks = {}
     for mod in modalities:
-        mats = []
-        for b in bundles:
-            mat = b.get(mod)
-            if mat is None:
-                raise DataError(f"bundle missing active modality '{mod}'")
-            mats.append(np.asarray(mat, dtype=dtype))
-        s_max = max(m.shape[0] for m in mats)
-        width = mats[0].shape[1]
-        arr = np.zeros((len(mats), s_max, width), dtype=dtype)
-        mask = np.zeros((len(mats), s_max), dtype=bool)
-        for i, m in enumerate(mats):
-            arr[i, : m.shape[0]] = m
-            mask[i, : m.shape[0]] = True
-        arrays[mod] = arr
-        masks[mod] = mask
+        mats = [b.get(mod) for b in bundles]
+        if any(m is None for m in mats):
+            raise DataError(f"bundle missing active modality '{mod}'")
+        lengths = np.array([len(m) for m in mats])
+        arrays[mod] = np.concatenate(mats, dtype=dtype)
+        masks[mod] = np.arange(lengths.max()) < lengths[:, None]
     return Batch(arrays=arrays, masks=masks)
 
 
@@ -231,16 +223,17 @@ def _lstm_layer(h_seq, params, prefix):
 def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     """Embed, add positional encoding, and run the modality's encoder stack.
 
-    ``x`` is a (B, S, input_dim) constant Tensor or array; ``mask`` a (B, S)
-    boolean array marking valid positions.  Returns (B, S, d_model).
+    ``x`` holds the (N, input_dim) valid rows of a batch as a constant Tensor
+    or array, as ``collate`` gives them; ``mask`` is the (B, S) boolean array
+    whose N True positions, in row-major order, those rows fill.  Returns
+    (B, S, d_model), zero at the padded positions.
 
-    The transformer runs on packed rows: the N valid positions of ``x`` are
-    gathered into (N, input_dim) before the embedding, so the embedding, the
-    layer norms, projections, FFN and dropout all see (N, ·) rows.  Attention
+    The transformer embeds the rows as they are, so the embedding, the layer
+    norms, projections, FFN and dropout all see (N, ·) rows.  Attention
     scatters them to the padded layout and excludes padded keys with a large
-    negative score bias.  After the final norm the rows are scattered back to
-    (B, S, d_model), whose padded positions are zero.  GRU and LSTM stacks
-    recur over the padded layout.
+    negative score bias.  After the final norm the rows are scattered to
+    (B, S, d_model).  GRU and LSTM stacks scatter ``x`` to the zero-padded
+    (B, S, input_dim) layout first and embed and recur over it.
     """
     if isinstance(x, np.ndarray):
         x = Tensor(x)
@@ -252,16 +245,17 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     dt = cfg.np_dtype()
     embed = (params[f"{modality}.embed.w"], params[f"{modality}.embed.b"])
     pe = positional_encoding(steps, d).astype(dt)
+    rows = np.flatnonzero(mask)
 
     if cfg.encoder != "transformer":
+        x = T.unpack_rows(x, rows, (batch, steps, x.shape[-1]))
         h = T.add_const(T.linear(x, *embed), pe[None, :, :])
         layer = _gru_layer if cfg.encoder == "gru" else _lstm_layer
         for l in range(cfg.layers(modality)):
             h = layer(h, params, f"{modality}.l{l}")
         return h
 
-    rows = np.flatnonzero(mask)
-    h = T.add_const(T.linear(T.pack_rows(x, rows), *embed), pe[rows % steps])
+    h = T.add_const(T.linear(x, *embed), pe[rows % steps])
     key_bias = np.where(mask, 0.0, T.MASK_NEG).astype(dt)[:, None, :]
     for l in range(cfg.layers(modality)):
         h = _attention_block(h, rows, key_bias, params, f"{modality}.l{l}", cfg, training, rng)

@@ -38,8 +38,8 @@ Conventions:
     as one node, with ``h``, the exact GELU and the dropout optional (one
     GEMM each for the forward and the input and weight gradients), and
     ``multi_head_attention`` runs every head as one node with an analytic
-    backward; all work on packed rows, the valid positions of a padded
-    batch gathered by ``pack_rows`` and scattered back by ``unpack_rows``.
+    backward; all work on packed rows, the (N, w) valid positions that
+    ``collate`` concatenates and ``unpack_rows`` scatters to a padded layout.
 """
 
 import math
@@ -530,9 +530,9 @@ def _keep_scale(keep, p, dtype):
 def dropout(a, p, rng, rows=None, padded_rows=None):
     """Inverted dropout with an explicit generator; caller skips it in eval mode.
 
-    When ``a`` holds the rows ``rows`` of a padded (padded_rows, width) array
-    (see ``pack_rows``), the keep mask is drawn for the padded shape and its
-    rows ``rows`` are kept, so ``rng`` advances as it would on the padded array.
+    When ``a`` holds the packed rows ``rows`` of a padded (padded_rows, width)
+    array, the keep mask is drawn for the padded shape and its rows ``rows``
+    are kept, so ``rng`` advances as it would on the padded array.
     The node keeps only the boolean mask and rebuilds the multiplier where it
     multiplies.
     """
@@ -550,11 +550,11 @@ def dropout(a, p, rng, rows=None, padded_rows=None):
 # ---------------------------------------------------------------------------
 # fused dense and attention ops
 #
-# A transformer batch can run its position-wise steps on packed rows: the
-# valid (batch, step) positions of a padded (B, S, w) array, gathered into an
-# (N, w) array by ``pack_rows`` with ``rows`` = the flat indices of the valid
-# positions.  Only attention needs the padded layout, and scatters to it
-# inside.
+# A transformer batch runs its position-wise steps on packed rows: the
+# valid (batch, step) positions of a (B, S) layout as an (N, w) array, which
+# ``collate`` builds by concatenating the bundles, with ``rows`` = the flat
+# indices of the valid positions.  Only attention needs the padded layout,
+# and scatters to it inside.
 
 
 def _promoted(arr, *others):
@@ -621,24 +621,9 @@ def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None,
     return _result(out.reshape(shape), parents, backward)
 
 
-def pack_rows(a, rows):
-    """Rows ``rows`` of ``a`` (..., w) with its leading axes flattened: (N, w).
-
-    The gradient scatters back to ``a``'s shape with zero fill.
-    """
-    width = a.shape[-1]
-
-    def backward(g):
-        full = np.zeros((a.data.size // width, width), dtype=a.data.dtype)
-        full[rows] = g
-        _accumulate(a, full.reshape(a.shape))
-
-    return _result(a.data.reshape(-1, width)[rows], (a,), backward)
-
-
 def unpack_rows(a, rows, shape):
     """Scatter the (N, w) rows of ``a`` to flat rows ``rows`` of a zero array
-    of ``shape`` (..., w); the inverse of ``pack_rows``."""
+    of ``shape`` (..., w).  The gradient gathers rows ``rows`` back out."""
     if a.data.ndim != 2 or len(rows) != a.shape[0] or shape[-1] != a.shape[1]:
         raise ShapeError(
             f"unpack_rows needs {len(rows)} rows of width {shape[-1]}, got {_fmt(a.shape)}"

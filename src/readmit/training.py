@@ -310,13 +310,12 @@ def train(model, train_bundles, train_labels, val_bundles, val_labels, cfg):
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            # Noise goes on the valid rows only, in float64 before the cast, so
-            # padding stays zero and a float32 run draws a float64 run's noise.
+            # Noise goes on the batch's rows in float64 before the cast, so a
+            # float32 run draws a float64 run's noise.
             batch = collate([train_bundles[i] for i in idx], modalities, dtype=np.float64)
             for mod, arr in batch.arrays.items():
                 if ratio:
-                    rows = batch.masks[mod]
-                    arr[rows] = inject_noise(arr[rows], ratio, rng)
+                    arr = inject_noise(arr, ratio, rng)
                 batch.arrays[mod] = arr.astype(dt, copy=False)
             loss_val = _train_step(model, opt, batch, train_labels[idx], cfg, lr, rng)
             if not np.isfinite(loss_val):

@@ -82,6 +82,27 @@ def test_load_rejects_empty_ids(tmp_path):
     ]
 
 
+def test_load_rejects_ids_with_surrounding_whitespace(tmp_path):
+    """"P1" and "P1 " would load as two patients that splits keep apart, and
+    " " as a patient: an ID with leading or trailing whitespace is a problem
+    of its line, not stripped.  Whitespace inside an ID is kept."""
+    good = record_to_json(make_record(pid="P1"))
+    lines = [dict(good, patient_id="P1 "), dict(good, patient_id="P 1"),
+             dict(good, admission_id="\tA1"), dict(good, patient_id=" ")]
+    path = tmp_path / "spaced-ids.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value).splitlines() == [
+        f"{path}: 3 invalid record(s):",
+        "line 1: patient_id must not start or end with whitespace, got 'P1 '",
+        "line 3: admission_id must not start or end with whitespace, got '\\tA1'",
+        "line 4: patient_id must not start or end with whitespace, got ' '",
+    ]
+    path.write_text(json.dumps(lines[1]) + "\n")
+    assert [r.patient_id for r in load_dataset(path).records] == ["P 1"]
+
+
 def test_validate_cxr_dim():
     rec = make_record()
     rec.cxr = np.zeros((2, 1023))

@@ -68,7 +68,7 @@ def test_pe_rejects_zero_length():
 def test_encode_singleton_sequence_runs():
     cfg = tiny_config()
     params = build_parameters(cfg)
-    out = encode_modality(np.ones((1, 1, 3)), np.ones((1, 1), dtype=bool),
+    out = encode_modality(np.ones((1, 3)), np.ones((1, 1), dtype=bool),
                           params, "ehr", cfg)
     assert out.shape == (1, 1, 4)
     assert np.isfinite(out.data).all()
@@ -83,17 +83,16 @@ def test_encode_all_masked_errors():
 
 
 def test_encoder_padding_invariance():
-    """Appending masked rows never changes the valid positions' encodings."""
+    """Appending masked positions never changes the valid positions' encodings."""
     cfg = tiny_config()
     params = build_parameters(cfg)
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 3, 3))
+    x = rng.normal(size=(3, 3))
     mask = np.ones((1, 3), dtype=bool)
     base = encode_modality(x, mask, params, "ehr", cfg).data
 
-    padded = np.concatenate([x, np.zeros((1, 2, 3))], axis=1)
     pmask = np.concatenate([mask, np.zeros((1, 2), dtype=bool)], axis=1)
-    out = encode_modality(padded, pmask, params, "ehr", cfg).data
+    out = encode_modality(x, pmask, params, "ehr", cfg).data
     np.testing.assert_allclose(out[:, :3], base, atol=1e-6)
 
 
@@ -101,7 +100,7 @@ def test_encoder_gradient_two_layers():
     cfg = tiny_config(ehr_layers=2)
     params = build_parameters(cfg)
     mask = np.ones((1, 4), dtype=bool)
-    x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 3)))
+    x = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
 
     def fn(t):
         h = encode_modality(t, mask, params, "ehr", cfg)
@@ -169,6 +168,32 @@ def test_fusion_gradient():
     params = build_parameters(cfg)
     x = Tensor(np.random.default_rng(5).normal(size=(3, 4)))
     assert grad_check(lambda t: fuse_and_predict([t], params).sum(), x) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# collate
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_collate_concatenates_rows_and_masks_each_bundles_length(dtype):
+    """A batch holds every bundle's rows in order, cast and unpadded, and a
+    mask of each bundle's length; a missing modality's one zero row counts."""
+    from readmit.features import FeatureBundle
+
+    rng = np.random.default_rng(13)
+    lengths = np.array([3, 1, 5, 1, 2])
+    notes = [rng.normal(size=(s, 4)) for s in lengths]
+    notes[3] = np.zeros((1, 4))
+    bundles = [FeatureBundle(ehr=rng.normal(size=(2, 3)), notes=m) for m in notes]
+    batch = collate(bundles, ("notes",), dtype=dtype)
+    assert set(batch.arrays) == set(batch.masks) == {"notes"}
+    expected = np.concatenate([m.astype(dtype) for m in notes])
+    assert batch.arrays["notes"].dtype == np.dtype(dtype)
+    assert batch.arrays["notes"].shape == (lengths.sum(), 4)
+    assert batch.arrays["notes"].tobytes() == expected.tobytes()
+    mask = batch.masks["notes"]
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, np.arange(5) < lengths[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +266,13 @@ def test_modality_ablations_run():
 # packed transformer encoder
 
 
+def _padded(rows, mask):
+    """The zero-padded (B, S, D) array whose valid positions hold ``rows``."""
+    out = np.zeros(mask.shape + rows.shape[-1:], dtype=rows.dtype)
+    out[mask] = rows
+    return out
+
+
 def _reference_attention_block(h, key_bias, params, prefix, cfg, training, rng):
     """The padded per-head composition the packed encoder replaces."""
     d = cfg.d_model
@@ -308,8 +340,10 @@ def test_packed_encoder_matches_padded_per_head_reference(dtype, dropout):
         rng = np.random.default_rng(5)
         pooled = []
         for mod in cfg.modalities:
-            h = encode(Tensor(batch.arrays[mod]), batch.masks[mod], model.params, mod, cfg,
-                       True, rng)
+            x = batch.arrays[mod]
+            if encode is _reference_encode:
+                x = _padded(x, batch.masks[mod])
+            h = encode(Tensor(x), batch.masks[mod], model.params, mod, cfg, True, rng)
             pooled.append(attention_pool(h, batch.masks[mod], model.params[f"{mod}.pool.q"]))
         logits = fuse_and_predict(pooled, model.params)
         focal_loss(logits, labels, LossConfig()).backward()
@@ -584,6 +618,31 @@ def test_recurrent_training_graph_does_not_grow_with_steps(kind):
                           np.array([1.0, 0.0, 1.0]), LossConfig())
         counts.append(_graph_nodes(loss))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_recurrent_encoder_on_packed_rows_matches_the_padded_stack(kind, dtype):
+    """The recurrent path scatters the packed rows to the zero-padded layout
+    and then embeds, so it computes on the array a padded batch would hold."""
+    cfg = tiny_config(encoder=kind, ehr_layers=2, dtype=dtype)
+    rng = np.random.default_rng(15)
+    # nonzero biases, so a padded step's embedding b + pe differs from pe
+    params = {name: Tensor(rng.normal(size=p.shape).astype(cfg.np_dtype()))
+              for name, p in build_parameters(cfg).items()}
+    batch = collate(ehr_bundles(4, lengths=[3, 1, 4, 2], seed=14), ("ehr",),
+                    dtype=cfg.np_dtype())
+    rows, mask = batch.arrays["ehr"], batch.masks["ehr"]
+    out = encode_modality(rows, mask, params, "ehr", cfg).data
+
+    pe = positional_encoding(mask.shape[1], cfg.d_model).astype(cfg.np_dtype())
+    h = T.add_const(T.linear(Tensor(_padded(rows, mask)), params["ehr.embed.w"],
+                             params["ehr.embed.b"]), pe[None, :, :])
+    layer = _gru_layer if kind == "gru" else _lstm_layer
+    for l in range(cfg.ehr_layers):
+        h = layer(h, params, f"ehr.l{l}")
+    assert out.dtype == h.data.dtype == cfg.np_dtype()
+    assert out.tobytes() == h.data.tobytes()
 
 
 def test_recurrent_models_forward():

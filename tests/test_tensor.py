@@ -266,7 +266,6 @@ SINGLE_PARENT = {
     "softmax": T.softmax,
     "bce_with_logits": lambda a: T.bce_with_logits(a, np.full((2, 3), 0.3)),
     "dropout": lambda a: T.dropout(a, 0.5, np.random.default_rng(3)),
-    "pack_rows": lambda a: T.pack_rows(a, np.array([1])),
     "unpack_rows": lambda a: T.unpack_rows(a, np.array([0, 2]), (2, 2, 3)),
     "multi_head_attention": lambda a: T.multi_head_attention(
         a, np.array([0, 1]), np.zeros((1, 1, 2)), 1),
@@ -592,17 +591,13 @@ def test_pack_and_unpack_rows_roundtrip_and_gradients():
     rng = np.random.default_rng(22)
     rows, _ = ragged_rows([3, 1, 2], 3)
     padded = rng.normal(size=(3, 3, 2))
-    packed = T.pack_rows(Tensor(padded), rows)
-    np.testing.assert_array_equal(packed.data, padded.reshape(9, 2)[rows])
+    packed = Tensor(padded.reshape(9, 2)[rows])
     back = T.unpack_rows(packed, rows, (3, 3, 2)).data
     valid = np.isin(np.arange(9), rows).reshape(3, 3)
     np.testing.assert_array_equal(back[valid], padded[valid])
     assert (back[~valid] == 0).all()
 
-    w_packed = rng.normal(size=(len(rows), 2))
     w_padded = rng.normal(size=(3, 3, 2))
-    assert grad_check(lambda t: T.mul_const(T.pack_rows(t, rows), w_packed).sum(),
-                      leaf(padded)) < 1e-4
     assert grad_check(lambda t: T.mul_const(T.unpack_rows(t, rows, (3, 3, 2)),
                                             w_padded).sum(),
                       leaf(packed.data)) < 1e-4
@@ -654,7 +649,7 @@ def test_dropout_on_packed_rows_keeps_the_padded_random_stream():
     padded = Tensor(np.random.default_rng(25).normal(size=(3, 3, 4)))
     rng_a, rng_b = np.random.default_rng(26), np.random.default_rng(26)
     full = T.dropout(padded, 0.3, rng_a).data.reshape(9, 4)[rows]
-    packed = T.dropout(T.pack_rows(padded, rows), 0.3, rng_b, rows, 9).data
+    packed = T.dropout(Tensor(padded.data.reshape(9, 4)[rows]), 0.3, rng_b, rows, 9).data
     np.testing.assert_array_equal(packed, full)
     assert rng_a.random() == rng_b.random()
 
