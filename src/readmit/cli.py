@@ -490,7 +490,9 @@ def build_parser():
                    help=f"number of features to keep (default: min({ModelConfig.k_ehr}, d))")
     p.add_argument("--trees", type=int, default=FOREST_TREES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes growing the forest's trees; slower than 1 at the default "
+                        "~500-patient cohort, pays from about 2000 training admissions")
     _add_setting_flags(p, sections=("data",))
     p.set_defaults(func=cmd_select_features)
 

@@ -193,18 +193,18 @@ def collate(bundles, modalities, dtype=np.float64):
     return Batch(arrays=arrays, masks=masks)
 
 
-def _attention_block(h, rows, key_bias, params, prefix, cfg, training, rng):
-    """One pre-norm transformer layer on the packed (N, d) rows ``h``."""
+def _attention_block(h, mask, params, prefix, cfg, training, rng):
+    """One pre-norm transformer layer on the packed (N, d) rows ``h`` of the
+    (B, S) boolean ``mask``."""
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    # dropout arguments for the packed rows: rate, generator, rows, padded rows
-    drop = (cfg.dropout if training else 0.0, rng, rows, key_bias.shape[0] * key_bias.shape[2])
+    drop = (cfg.dropout if training else 0.0, rng, mask)    # rate, generator, layout
 
     x = T.layer_norm(h, p("ln1.g"), p("ln1.b"))
     qkv = T.linear(x, T.concat([p("attn.wq"), p("attn.wk"), p("attn.wv")]),
                    T.concat([p("attn.bq"), p("attn.bk"), p("attn.bv")]))
-    att = T.multi_head_attention(qkv, rows, key_bias, cfg.n_heads)
+    att = T.multi_head_attention(qkv, mask, cfg.n_heads)
     h = T.linear(att, p("attn.wo"), p("attn.bo"), h, *drop)
 
     x2 = T.layer_norm(h, p("ln2.g"), p("ln2.b"))
@@ -223,10 +223,12 @@ def _lstm_layer(h_seq, params, prefix):
 def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     """Embed, add positional encoding, and run the modality's encoder stack.
 
-    ``x`` holds the (N, input_dim) valid rows of a batch as a constant Tensor
-    or array, as ``collate`` gives them; ``mask`` is the (B, S) boolean array
-    whose N True positions, in row-major order, those rows fill.  Returns
-    (B, S, d_model), zero at the padded positions.
+    ``x`` holds the (N, input_dim) packed rows of a batch as a constant
+    Tensor or array, as ``collate`` gives them; ``mask`` is the (B, S)
+    boolean array whose N True positions, in row-major order, those rows
+    fill, and the only layout argument every op below takes.  An ``x`` that
+    is not 2-D with N rows is a DataError.  Returns (B, S, d_model), zero at
+    the padded positions.
 
     The transformer embeds the rows as they are, so the embedding, the layer
     norms, projections, FFN and dropout all see (N, ·) rows.  Attention
@@ -240,27 +242,25 @@ def encode_modality(x, mask, params, modality, cfg, training=False, rng=None):
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=1).all():
         raise DataError(f"{modality}: a sequence has no unmasked positions")
-    batch, steps = mask.shape
-    d = cfg.d_model
-    dt = cfg.np_dtype()
+    n = np.count_nonzero(mask)
+    if x.data.ndim != 2 or x.shape[0] != n:
+        raise DataError(f"{modality}: x must hold the {n} packed rows of the mask, "
+                        f"got {'x'.join(map(str, x.shape))}")
     embed = (params[f"{modality}.embed.w"], params[f"{modality}.embed.b"])
-    pe = positional_encoding(steps, d).astype(dt)
-    rows = np.flatnonzero(mask)
+    pe = positional_encoding(mask.shape[1], cfg.d_model).astype(cfg.np_dtype())
 
     if cfg.encoder != "transformer":
-        x = T.unpack_rows(x, rows, (batch, steps, x.shape[-1]))
-        h = T.add_const(T.linear(x, *embed), pe[None, :, :])
+        h = T.add_const(T.linear(T.unpack_rows(x, mask), *embed), pe)
         layer = _gru_layer if cfg.encoder == "gru" else _lstm_layer
         for l in range(cfg.layers(modality)):
             h = layer(h, params, f"{modality}.l{l}")
         return h
 
-    h = T.add_const(T.linear(x, *embed), pe[rows % steps])
-    key_bias = np.where(mask, 0.0, T.MASK_NEG).astype(dt)[:, None, :]
+    h = T.add_const(T.linear(x, *embed), pe[np.nonzero(mask)[1]])
     for l in range(cfg.layers(modality)):
-        h = _attention_block(h, rows, key_bias, params, f"{modality}.l{l}", cfg, training, rng)
+        h = _attention_block(h, mask, params, f"{modality}.l{l}", cfg, training, rng)
     h = T.layer_norm(h, params[f"{modality}.norm.g"], params[f"{modality}.norm.b"])
-    return T.unpack_rows(h, rows, (batch, steps, d))
+    return T.unpack_rows(h, mask)
 
 
 def attention_pool(h, mask, query):

@@ -38,8 +38,8 @@ Conventions:
     as one node, with ``h``, the exact GELU and the dropout optional (one
     GEMM each for the forward and the input and weight gradients), and
     ``multi_head_attention`` runs every head as one node with an analytic
-    backward; all work on packed rows, the (N, w) valid positions that
-    ``collate`` concatenates and ``unpack_rows`` scatters to a padded layout.
+    backward; all work on packed rows, the (N, w) True positions of a (B, S)
+    boolean mask, which ``collate`` concatenates and ``unpack_rows`` pads.
 """
 
 import math
@@ -510,15 +510,12 @@ def bce_with_logits(logits, targets):
     return _result(out_data, (logits,), backward)
 
 
-def _keep_mask(shape, p, rng, rows=None, padded_rows=None):
+def _keep_mask(shape, p, rng, mask=None):
     """Boolean keep mask of ``shape``, True where a uniform draw is >= p; the
     draw for packed rows is the one ``dropout`` describes."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if rows is None:
-        draw = rng.random(shape)
-    else:
-        draw = rng.random((padded_rows, shape[-1]))[rows]
+    draw = rng.random(shape) if mask is None else rng.random(mask.shape + shape[-1:])[mask]
     return draw >= p
 
 
@@ -527,18 +524,18 @@ def _keep_scale(keep, p, dtype):
     return keep.astype(dtype) / (1.0 - p)
 
 
-def dropout(a, p, rng, rows=None, padded_rows=None):
+def dropout(a, p, rng, mask=None):
     """Inverted dropout with an explicit generator; caller skips it in eval mode.
 
-    When ``a`` holds the packed rows ``rows`` of a padded (padded_rows, width)
-    array, the keep mask is drawn for the padded shape and its rows ``rows``
-    are kept, so ``rng`` advances as it would on the padded array.
+    When ``a`` holds the (N, width) packed rows of a (B, S) boolean ``mask``,
+    the keep mask is drawn for the padded (B, S, width) shape and gathered at
+    ``mask``, so ``rng`` advances as it would on the padded array.
     The node keeps only the boolean mask and rebuilds the multiplier where it
     multiplies.
     """
     if p == 0.0:
         return a
-    keep = _keep_mask(a.shape, p, rng, rows, padded_rows)
+    keep = _keep_mask(a.shape, p, rng, mask)
     dt = a.data.dtype
 
     def backward(g):
@@ -550,11 +547,11 @@ def dropout(a, p, rng, rows=None, padded_rows=None):
 # ---------------------------------------------------------------------------
 # fused dense and attention ops
 #
-# A transformer batch runs its position-wise steps on packed rows: the
-# valid (batch, step) positions of a (B, S) layout as an (N, w) array, which
-# ``collate`` builds by concatenating the bundles, with ``rows`` = the flat
-# indices of the valid positions.  Only attention needs the padded layout,
-# and scatters to it inside.
+# A transformer batch runs its position-wise steps on packed rows: the N
+# True positions of a (B, S) boolean mask, in row-major order, as an (N, w)
+# array, which ``collate`` builds by concatenating the bundles.  The mask is
+# the only layout argument; attention and the dropout draw need the padded
+# layout and build it from the mask inside.
 
 
 def _promoted(arr, *others):
@@ -564,18 +561,18 @@ def _promoted(arr, *others):
     return arr.astype(np.result_type(arr, *others), copy=False)
 
 
-def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None, gelu=False):
+def linear(x, w, b, residual=None, p=0.0, rng=None, mask=None, gelu=False):
     """``residual + dropout(gelu(x @ w + b))`` as one node: one GEMM, then the
     bias and, each optional, the GELU, the dropout multiplier and the residual.
 
     ``x`` is (..., k), ``w`` (k, n) and ``b`` (n,); the leading axes of ``x``
     are flattened into the GEMM's rows.  ``residual`` (None for none) has the
-    output's shape; ``p == 0`` means no dropout, and the dropout arguments
-    are those of ``dropout``; ``gelu`` applies the exact GELU.  The parents
-    are (residual, x, w, b), or (x, w, b), and the node keeps only ``x``, the
-    keep mask and, with the GELU, ``x @ w + b`` and its CDF.  The values and
+    output's shape; ``p == 0`` means no dropout, and ``p``, ``rng`` and
+    ``mask`` are those of ``dropout``; ``gelu`` applies the exact GELU.  The
+    parents are (residual, x, w, b), or (x, w, b), and the node keeps only
+    ``x``, the keep mask and, with the GELU, ``x @ w + b`` and its CDF.  The values and
     random draws equal ``add(residual, dropout(gelu(add(matmul(x, w), b)), p,
-    rng, rows, padded_rows))`` bit for bit, forward and backward.
+    rng, mask))`` bit for bit, forward and backward.
     """
     k, n = w.shape if w.data.ndim == 2 else (0, 0)
     shape = x.shape[:-1] + (n,)
@@ -596,7 +593,7 @@ def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None,
         out = pre * cdf
     keep = None
     if p != 0.0:
-        keep = _keep_mask(shape, p, rng, rows, padded_rows).reshape(-1, n)
+        keep = _keep_mask(shape, p, rng, mask).reshape(-1, n)
         out *= _keep_scale(keep, p, dt)
     parents = (x, w, b)
     if residual is not None:
@@ -621,55 +618,54 @@ def linear(x, w, b, residual=None, p=0.0, rng=None, rows=None, padded_rows=None,
     return _result(out.reshape(shape), parents, backward)
 
 
-def unpack_rows(a, rows, shape):
-    """Scatter the (N, w) rows of ``a`` to flat rows ``rows`` of a zero array
-    of ``shape`` (..., w).  The gradient gathers rows ``rows`` back out."""
-    if a.data.ndim != 2 or len(rows) != a.shape[0] or shape[-1] != a.shape[1]:
-        raise ShapeError(
-            f"unpack_rows needs {len(rows)} rows of width {shape[-1]}, got {_fmt(a.shape)}"
-        )
-    out = np.zeros(shape, dtype=a.data.dtype)
-    out.reshape(-1, a.shape[1])[rows] = a.data
+def unpack_rows(a, mask):
+    """Scatter the (N, w) rows of ``a`` to the N True positions of the (B, S)
+    boolean ``mask`` in a zero (B, S, w) array; the gradient gathers them."""
+    n = np.count_nonzero(mask)
+    if a.data.ndim != 2 or a.shape[0] != n:
+        raise ShapeError(f"unpack_rows needs {n} rows, got {_fmt(a.shape)}")
+    out = np.zeros(mask.shape + a.shape[1:], dtype=a.data.dtype)
+    out[mask] = a.data
 
     def backward(g):
-        _accumulate(a, g.reshape(-1, a.shape[1])[rows])
+        _accumulate(a, g[mask])
 
     return _result(out, (a,), backward)
 
 
-def multi_head_attention(qkv, rows, key_bias, n_heads):
+def multi_head_attention(qkv, mask, n_heads):
     """Scaled dot-product attention of all heads as one node.
 
-    ``qkv`` holds packed q | k | v rows (N, 3d); row i sits at flat position
-    ``rows[i]`` of a padded (B, S) layout whose (B, 1, S) ``key_bias`` is
-    MASK_NEG at padded keys.  Each head's scores are q kᵀ, then scaled by
-    1/sqrt(d / n_heads), then shifted by the key bias, then softmaxed with
-    the row maximum subtracted.  Returns the heads' outputs side by side,
-    packed like the input: (N, d).
+    ``qkv`` holds the packed q | k | v rows (N, 3d) of the N True positions
+    of the (B, S) boolean ``mask``.  Each head's scores are q kᵀ, then scaled
+    by 1/sqrt(d / n_heads), then shifted by MASK_NEG at the keys ``mask``
+    leaves out, then softmaxed with the row maximum subtracted.  Returns the
+    heads' outputs side by side, packed like the input: (N, d).
     """
-    B, one, S = key_bias.shape
+    n = np.count_nonzero(mask)
     N, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
-    if one != 1 or len(rows) != N or width == 0 or width % (3 * n_heads):
+    if mask.ndim != 2 or N != n or width == 0 or width % (3 * n_heads):
         raise ShapeError(
-            f"multi_head_attention needs {len(rows)} packed q|k|v rows with a width "
-            f"divisible by 3 x {n_heads} heads and a (batch, 1, steps) key bias, got "
-            f"{_fmt(qkv.shape)} and {_fmt(key_bias.shape)}"
+            f"multi_head_attention needs {n} packed q|k|v rows with a width divisible "
+            f"by 3 x {n_heads} heads and a (batch, steps) mask, got {_fmt(qkv.shape)} "
+            f"and a {_fmt(mask.shape)} mask"
         )
+    B, S = mask.shape
     d = width // 3
     dh = d // n_heads
     dt = qkv.data.dtype
     scale = 1.0 / math.sqrt(dh)
 
     def padded_heads():
-        """Q, K and V as (B, H, S, dh) views of one zero-padded (B·S, 3d) array."""
-        X = np.zeros((B * S, width), dtype=dt)
-        X[rows] = qkv.data
+        """Q, K and V as (B, H, S, dh) views of one zero-padded (B, S, 3d) array."""
+        X = np.zeros((B, S, width), dtype=dt)
+        X[mask] = qkv.data
         return X.reshape(B, S, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
 
     Q, K, V = padded_heads()
     P = Q @ np.swapaxes(K, -1, -2)
     P *= scale
-    P += key_bias[:, None]
+    P += np.where(mask, 0.0, MASK_NEG).astype(dt)[:, None, None, :]
     P -= P.max(axis=-1, keepdims=True)
     np.exp(P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
@@ -677,9 +673,9 @@ def multi_head_attention(qkv, rows, key_bias, n_heads):
     np.matmul(P, V, out=O.transpose(0, 2, 1, 3))
 
     def backward(g):
-        Q, K, V = padded_heads()        # rebuilt: the node keeps only qkv and P
-        gO = np.zeros((B * S, d), dtype=dt)
-        gO[rows] = g
+        Q, K, V = padded_heads()        # rebuilt: the node keeps only qkv, mask and P
+        gO = np.zeros((B, S, d), dtype=dt)
+        gO[mask] = g
         gO = gO.reshape(B, S, n_heads, dh).transpose(0, 2, 1, 3)
         dX = np.empty((B, S, 3, n_heads, dh), dtype=dt)
         dQ, dK, dV = dX.transpose(2, 0, 3, 1, 4)
@@ -690,9 +686,9 @@ def multi_head_attention(qkv, rows, key_bias, n_heads):
         dS *= scale
         np.matmul(dS, K, out=dQ)
         np.matmul(np.swapaxes(dS, -1, -2), Q, out=dK)
-        _accumulate(qkv, dX.reshape(B * S, width)[rows])
+        _accumulate(qkv, dX.reshape(B, S, width)[mask])
 
-    return _result(O.reshape(B * S, d)[rows], (qkv,), backward)
+    return _result(O.reshape(B, S, d)[mask], (qkv,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,17 @@ def test_encode_all_masked_errors():
                         params, "ehr", cfg)
 
 
+@pytest.mark.parametrize("encoder", ["transformer", "gru"])
+def test_encode_rejects_x_that_is_not_the_masks_packed_rows(encoder):
+    cfg = tiny_config(encoder=encoder)
+    params = build_parameters(cfg)
+    mask = np.array([[True, True, True], [True, False, False]])
+    message = "ehr: x must hold the 4 packed rows of the mask, got "
+    for x, shape in ((np.ones((2, 3, 3)), "2x3x3"), (np.ones((3, 3)), "3x3")):
+        with pytest.raises(DataError, match=f"^{message}{shape}$"):
+            encode_modality(x, mask, params, "ehr", cfg)
+
+
 def test_encoder_padding_invariance():
     """Appending masked positions never changes the valid positions' encodings."""
     cfg = tiny_config()

@@ -266,9 +266,8 @@ SINGLE_PARENT = {
     "softmax": T.softmax,
     "bce_with_logits": lambda a: T.bce_with_logits(a, np.full((2, 3), 0.3)),
     "dropout": lambda a: T.dropout(a, 0.5, np.random.default_rng(3)),
-    "unpack_rows": lambda a: T.unpack_rows(a, np.array([0, 2]), (2, 2, 3)),
-    "multi_head_attention": lambda a: T.multi_head_attention(
-        a, np.array([0, 1]), np.zeros((1, 1, 2)), 1),
+    "unpack_rows": lambda a: T.unpack_rows(a, np.array([[True, False], [True, False]])),
+    "multi_head_attention": lambda a: T.multi_head_attention(a, np.ones((1, 2), bool), 1),
 }
 
 
@@ -535,12 +534,10 @@ def test_recurrent_op_rejects_mismatched_shapes(kind):
 # ---------------------------------------------------------------------------
 # fused dense and attention ops, row packing
 
-def ragged_rows(lengths, steps):
-    """Flat (batch * steps) indices of the valid positions and the key bias
-    of a batch whose sequence i has ``lengths[i]`` valid steps."""
-    mask = np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
-    key_bias = np.where(mask, 0.0, T.MASK_NEG)[:, None, :]
-    return np.flatnonzero(mask), key_bias
+def ragged_mask(lengths, steps):
+    """The (batch, steps) boolean mask of a batch whose sequence i has
+    ``lengths[i]`` valid steps, as ``collate`` builds it."""
+    return np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
 
 
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["x", "w", "b"])
@@ -589,31 +586,30 @@ def test_linear_rejects_mismatched_shapes():
 
 def test_pack_and_unpack_rows_roundtrip_and_gradients():
     rng = np.random.default_rng(22)
-    rows, _ = ragged_rows([3, 1, 2], 3)
+    mask = ragged_mask([3, 1, 2], 3)
     padded = rng.normal(size=(3, 3, 2))
-    packed = Tensor(padded.reshape(9, 2)[rows])
-    back = T.unpack_rows(packed, rows, (3, 3, 2)).data
-    valid = np.isin(np.arange(9), rows).reshape(3, 3)
-    np.testing.assert_array_equal(back[valid], padded[valid])
-    assert (back[~valid] == 0).all()
+    packed = Tensor(padded[mask])
+    back = T.unpack_rows(packed, mask).data
+    assert back.shape == (3, 3, 2)
+    np.testing.assert_array_equal(back[mask], padded[mask])
+    assert (back[~mask] == 0).all()
 
     w_padded = rng.normal(size=(3, 3, 2))
-    assert grad_check(lambda t: T.mul_const(T.unpack_rows(t, rows, (3, 3, 2)),
-                                            w_padded).sum(),
+    assert grad_check(lambda t: T.mul_const(T.unpack_rows(t, mask), w_padded).sum(),
                       leaf(packed.data)) < 1e-4
     with pytest.raises(ShapeError, match="unpack_rows"):
-        T.unpack_rows(packed, rows[:-1], (3, 3, 2))
+        T.unpack_rows(packed, ragged_mask([3, 1, 1], 3))
 
 
 @pytest.mark.parametrize("n_heads", [1, 3])
 def test_multi_head_attention_gradient(n_heads):
     rng = np.random.default_rng(23)
-    rows, key_bias = ragged_rows([4, 1, 3], 4)
-    qkv = rng.normal(size=(len(rows), 3 * 6))
-    weights = rng.normal(size=(len(rows), 6))
+    mask = ragged_mask([4, 1, 3], 4)
+    qkv = rng.normal(size=(mask.sum(), 3 * 6))
+    weights = rng.normal(size=(mask.sum(), 6))
 
     def fn(t):
-        return T.mul_const(T.multi_head_attention(t, rows, key_bias, n_heads), weights).sum()
+        return T.mul_const(T.multi_head_attention(t, mask, n_heads), weights).sum()
 
     assert grad_check(fn, leaf(qkv)) < 1e-4
 
@@ -621,9 +617,9 @@ def test_multi_head_attention_gradient(n_heads):
 def test_multi_head_attention_matches_per_head_softmax():
     rng = np.random.default_rng(24)
     lengths, steps, heads, dh = [3, 1, 2], 3, 2, 2
-    rows, key_bias = ragged_rows(lengths, steps)
-    qkv = rng.normal(size=(len(rows), 3 * heads * dh))
-    out = T.multi_head_attention(Tensor(qkv), rows, key_bias, heads).data
+    mask = ragged_mask(lengths, steps)
+    qkv = rng.normal(size=(mask.sum(), 3 * heads * dh))
+    out = T.multi_head_attention(Tensor(qkv), mask, heads).data
     at = 0
     for length in lengths:
         q, k, v = (qkv[at:at + length, i * heads * dh:(i + 1) * heads * dh] for i in range(3))
@@ -637,33 +633,53 @@ def test_multi_head_attention_matches_per_head_softmax():
 
 
 def test_multi_head_attention_rejects_mismatched_shapes():
-    rows, key_bias = ragged_rows([2, 1], 2)
+    mask = ragged_mask([2, 1], 2)
     with pytest.raises(ShapeError, match="multi_head_attention"):
-        T.multi_head_attention(Tensor(np.zeros((3, 8))), rows, key_bias, 2)
+        T.multi_head_attention(Tensor(np.zeros((3, 8))), mask, 2)
     with pytest.raises(ShapeError, match="multi_head_attention"):
-        T.multi_head_attention(Tensor(np.zeros((2, 12))), rows, key_bias, 2)
+        T.multi_head_attention(Tensor(np.zeros((2, 12))), mask, 2)
 
 
 def test_dropout_on_packed_rows_keeps_the_padded_random_stream():
-    rows, _ = ragged_rows([3, 1, 2], 3)
+    mask = ragged_mask([3, 1, 2], 3)
     padded = Tensor(np.random.default_rng(25).normal(size=(3, 3, 4)))
     rng_a, rng_b = np.random.default_rng(26), np.random.default_rng(26)
-    full = T.dropout(padded, 0.3, rng_a).data.reshape(9, 4)[rows]
-    packed = T.dropout(Tensor(padded.data.reshape(9, 4)[rows]), 0.3, rng_b, rows, 9).data
+    full = T.dropout(padded, 0.3, rng_a).data[mask]
+    packed = T.dropout(Tensor(padded.data[mask]), 0.3, rng_b, mask).data
     np.testing.assert_array_equal(packed, full)
     assert rng_a.random() == rng_b.random()
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       extra_steps=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_mask_layout_matches_the_padded_array(lengths, extra_steps, seed):
+    """On any ragged mask, full rows and one-step sequences included, packed
+    dropout is padded dropout gathered at the mask with the same generator
+    state after, and ``unpack_rows`` puts the rows at the mask, zeros elsewhere."""
+    mask = ragged_mask(lengths, min(max(lengths) + extra_steps, 6))
+    padded = np.random.default_rng(seed).normal(size=mask.shape + (3,))
+    rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    full = T.dropout(Tensor(padded), 0.4, rng_a).data[mask]
+    packed = T.dropout(Tensor(padded[mask]), 0.4, rng_b, mask).data
+    assert packed.tobytes() == full.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    back = T.unpack_rows(Tensor(padded[mask]), mask).data
+    np.testing.assert_array_equal(back[mask], padded[mask])
+    assert (back[~mask] == 0).all()
 
 
 # ---------------------------------------------------------------------------
 # what a node keeps: boolean dropout masks, the fused residual, attention
 
-def _float_mask_dropout(a, p, rng, rows=None, padded_rows=None):
+def _float_mask_dropout(a, p, rng, mask=None):
     """Dropout as a multiply by a stored float keep array: the composition
     the boolean-mask ``T.dropout`` replaces."""
-    if rows is None:
+    if mask is None:
         draw = rng.random(a.shape)
     else:
-        draw = rng.random((padded_rows, a.shape[-1]))[rows]
+        draw = rng.random(mask.shape + (a.shape[-1],))[mask]
     return T.mul_const(a, (draw >= p).astype(a.data.dtype) / (1.0 - p))
 
 
@@ -685,15 +701,14 @@ def _closure_arrays(fn):
 @pytest.mark.parametrize("packed", [False, True], ids=["padded", "packed"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_bool_mask_dropout_matches_float_mask_dropout(dtype, packed):
-    rows, _ = ragged_rows([3, 1, 2], 3)
-    rows, padded_rows = (rows, 9) if packed else (None, None)
+    mask = ragged_mask([3, 1, 2], 3) if packed else None
     values = np.random.default_rng(27).normal(size=(6 if packed else 9, 4)).astype(dtype)
     weights = np.random.default_rng(28).normal(size=values.shape).astype(dtype)
 
     def run(op):
         rng = np.random.default_rng(29)
         a = Tensor(values.copy(), requires_grad=True)
-        out = op(a, 0.3, rng, rows, padded_rows)
+        out = op(a, 0.3, rng, mask)
         T.mul_const(out, weights).sum().backward()
         return out, a.grad, rng.bit_generator.state
 
@@ -707,18 +722,18 @@ def test_bool_mask_dropout_matches_float_mask_dropout(dtype, packed):
     assert kept and all(arr.dtype == bool for arr in kept)
 
 
-RESIDUAL_DROP = {"no_dropout": (), "dropout": (0.3,), "dropout_packed": (0.3, "rows")}
+RESIDUAL_DROP = {"no_dropout": (), "dropout": (0.3,), "dropout_packed": (0.3, "mask")}
 
 
 def _residual_operands(dtype=np.float64):
-    """h (N, 3), x (N, 4), w (4, 3) and b (3,) for N packed rows of a padded
-    (9, ·) layout."""
-    rows, _ = ragged_rows([3, 1, 2], 3)
+    """h (N, 3), x (N, 4), w (4, 3) and b (3,) for the N packed rows of a
+    (3, 3) mask, and the mask."""
+    mask = ragged_mask([3, 1, 2], 3)
     rng = np.random.default_rng(30)
-    n = len(rows)
+    n = mask.sum()
     values = [rng.normal(size=(n, 3)), rng.normal(size=(n, 4)), rng.normal(size=(4, 3)),
               rng.normal(size=3)]
-    return [v.astype(dtype) for v in values], rows, rng.normal(size=(n, 3)).astype(dtype)
+    return [v.astype(dtype) for v in values], mask, rng.normal(size=(n, 3)).astype(dtype)
 
 
 def _residual_linear(h, x, w, b, *drop):
@@ -727,24 +742,24 @@ def _residual_linear(h, x, w, b, *drop):
     return T.linear(x, w, b, h, *drop)
 
 
-def _drop_args(drop, rows):
+def _drop_args(drop, mask):
     """``dropout``'s trailing arguments for one RESIDUAL_DROP case, with a
-    fresh generator so every call draws the same mask."""
+    fresh generator so every call draws the same keep mask."""
     if not drop:
         return ()
     rng = np.random.default_rng(31)
-    return (drop[0], rng) + ((rows, 9) if len(drop) > 1 else ())
+    return (drop[0], rng) + ((mask,) if len(drop) > 1 else ())
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3], ids=["h", "x", "w", "b"])
 @pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
 def test_residual_linear_gradient(drop, index):
-    values, rows, weights = _residual_operands()
+    values, mask, weights = _residual_operands()
 
     def fn(t):
         operands = [Tensor(v) for v in values]
         operands[index] = t
-        return T.mul_const(_residual_linear(*operands, *_drop_args(drop, rows)), weights).sum()
+        return T.mul_const(_residual_linear(*operands, *_drop_args(drop, mask)), weights).sum()
 
     assert grad_check(fn, leaf(values[index])) < 1e-4
 
@@ -752,7 +767,7 @@ def test_residual_linear_gradient(drop, index):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
 def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
-    values, rows, weights = _residual_operands(dtype)
+    values, mask, weights = _residual_operands(dtype)
 
     def composed(h, x, w, b, *args):
         y = T.linear(x, w, b)
@@ -760,7 +775,7 @@ def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
 
     def run(op):
         operands = [Tensor(v.copy(), requires_grad=True) for v in values]
-        args = _drop_args(drop, rows)
+        args = _drop_args(drop, mask)
         out = op(*operands, *args)
         T.mul_const(out, weights).sum().backward()
         state = args[1].bit_generator.state if args else None
@@ -778,7 +793,7 @@ def test_residual_linear_equals_add_dropout_linear_bit_for_bit(drop, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
 def test_gelu_linear_equals_dropout_gelu_linear_bit_for_bit(drop, dtype, residual):
-    values, rows, weights = _residual_operands(dtype)
+    values, mask, weights = _residual_operands(dtype)
 
     def fused(h, x, w, b, *args):
         return T.linear(x, w, b, h if residual else None, *args, gelu=True)
@@ -790,7 +805,7 @@ def test_gelu_linear_equals_dropout_gelu_linear_bit_for_bit(drop, dtype, residua
 
     def run(op):
         operands = [Tensor(v.copy(), requires_grad=True) for v in values]
-        args = _drop_args(drop, rows)
+        args = _drop_args(drop, mask)
         out = op(*operands, *args)
         T.mul_const(out, weights).sum().backward()
         state = args[1].bit_generator.state if args else None
@@ -808,22 +823,22 @@ def test_gelu_linear_equals_dropout_gelu_linear_bit_for_bit(drop, dtype, residua
 @pytest.mark.parametrize("index", [1, 2, 3], ids=["x", "w", "b"])
 @pytest.mark.parametrize("drop", list(RESIDUAL_DROP.values()), ids=list(RESIDUAL_DROP))
 def test_gelu_linear_gradient(drop, index):
-    values, rows, weights = _residual_operands()
+    values, mask, weights = _residual_operands()
 
     def fn(t):
         operands = [Tensor(v) for v in values]
         operands[index] = t
         h, x, w, b = operands
-        out = T.linear(x, w, b, h, *_drop_args(drop, rows), gelu=True)
+        out = T.linear(x, w, b, h, *_drop_args(drop, mask), gelu=True)
         return T.mul_const(out, weights).sum()
 
     assert grad_check(fn, leaf(values[index])) < 1e-4
 
 
 def test_residual_linear_keeps_neither_linear_nor_dropout_output():
-    values, rows, _ = _residual_operands()
+    values, mask, _ = _residual_operands()
     h, x, w, b = (Tensor(v, requires_grad=True) for v in values)
-    out = T.linear(x, w, b, h, 0.3, np.random.default_rng(31), rows, 9)
+    out = T.linear(x, w, b, h, 0.3, np.random.default_rng(31), mask)
     assert out._parents == (h, x, w, b)
     kept = [arr for arr in _closure_arrays(out._backward) if arr.dtype != bool]
     assert all(np.shares_memory(arr, x.data) or np.shares_memory(arr, w.data)
@@ -843,9 +858,9 @@ def test_residual_linear_rejects_mismatched_shapes():
 
 def test_multi_head_attention_keeps_no_padded_qkv():
     batch, steps, d = 3, 5, 6
-    rows, key_bias = ragged_rows([5, 2, 4], steps)
-    qkv = leaf(np.random.default_rng(32).normal(size=(len(rows), 3 * d)))
-    out = T.multi_head_attention(qkv, rows, key_bias, 2)
+    mask = ragged_mask([5, 2, 4], steps)
+    qkv = leaf(np.random.default_rng(32).normal(size=(mask.sum(), 3 * d)))
+    out = T.multi_head_attention(qkv, mask, 2)
     padded_size = batch * steps * 3 * d
     sizes = [arr.size for arr in _closure_arrays(out._backward)]
     assert sizes and padded_size not in sizes
